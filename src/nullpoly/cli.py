@@ -196,12 +196,12 @@ def _cmd_count(args, out):
     _check_pd(p, d)
     if args.monic:
         res = counting.count_monic(n, p, d)
+        probe = counting.count_null_le(n, p, d)
         label = f"N_mnp({n}, {p}^{d})"
     else:
-        res = counting.count_null_le(n, p, d)
+        res = probe = counting.count_null_le(n, p, d)
         label = f"N_np(<={n}, {p}^{d})"
     verified = None
-    probe = counting.count_null_le(n, p, d)
     if probe.value <= 4096:
         pd = p ** d
         polys = list(counting.enumerate_null(p, d, n))

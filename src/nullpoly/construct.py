@@ -95,7 +95,8 @@ def _tower_levels(p: int, n: int) -> tuple[Polynomial, ...]:
         nxt = Polynomial((1,))
         for i in range(p):
             nxt = nxt * (g - Polynomial((i * step,)))
-        assert nxt.degree == p ** k and nxt.coeffs[-1] == 1
+        if nxt.degree != p ** k or nxt.coeffs[-1] != 1:
+            raise AssertionError(f"tower level {k} for p={p} is not monic of degree p**{k}")
         levels.append(nxt)
         g = nxt
     return tuple(levels)
@@ -213,7 +214,8 @@ def least_monic_null(p: int, d: int) -> Polynomial:
     h = Polynomial((1,))
     for i, e in dv.exponents():
         h = h * tower.level(i) ** e
-    assert h.coeffs[-1] == 1 and h.degree == omega1_prime_power(p, d)
+    if h.coeffs[-1] != 1 or h.degree != omega1_prime_power(p, d):
+        raise AssertionError(f"least monic null for {p}^{d} is not monic of degree omega1")
     return h
 
 

@@ -7,13 +7,24 @@ Every null polynomial mod p**d decomposes uniquely as
 where B_j is the least-degree monic null polynomial mod p**j, q_d is free,
 q_j for j < d has degree < p, a layer is dropped when its digit vector
 saturates (its basis polynomial repeats the next layer's degree), and the
-coefficients of q_j matter mod p**j. Counting is therefore a product of
-independent coefficient boxes, which collapses to closed-form powers of p.
+coefficients of q_j matter mod p**j. The null set is therefore a product
+of independent coefficient boxes. enumerate_null walks it as a
+mixed-radix odometer: one row p**(d-j) * B_j * x**k mod p**d per free
+coefficient, radix p**j, and radix * row ≡ 0 (mod p**d), so every step
+only adds a row.
+
+Counting uses the valuation-sum identity: there are p**E null
+polynomials of degree <= n mod p**d, with
+
+    E(n, p, d) = sum_{k<=n} min(d, v_p(k!)),
+
+the Newton-coordinate view of Singmaster (1974) and Keller-Olson (1968).
+The paper's digit-block threshold formula (threshold_count_exponent) is
+kept as an independent check of it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Iterator
 
 from .construct import (
@@ -22,7 +33,7 @@ from .construct import (
     omega1_prime_power,
     repunit,
 )
-from .polys import Polynomial, reduce_coeffs
+from .polys import Polynomial
 from .primes import is_prime
 
 
@@ -77,29 +88,45 @@ def null_basis(p: int, d: int) -> NullBasis:
 def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
     """Yield every null polynomial of degree <= n mod p**d exactly once.
 
+    A mixed-radix odometer over one flat coefficient list. Each free
+    coefficient of the decomposition owns a digit of radix p**j and a row,
+    the scaled basis term p**(d-j) * B_j * x**k reduced mod p**d. Advancing
+    a digit adds its row to the list in place, mod p**d. Since
+    radix * row ≡ 0 (mod p**d), a digit that wraps to 0 just adds its row
+    once more and carries, so the odometer never subtracts or rebuilds.
+
     Coefficients come out reduced to [0, p**d). The caller is responsible
     for bounding the total via count_null_le first; generation order is an
     implementation detail (the CLI sorts).
     """
-    basis = null_basis(p, d)
     pd = p ** d
-    active: list[tuple[Polynomial, int, int]] = []
-    for layer in basis.layers:
+    rows: list[tuple[tuple[int, int], ...]] = []  # sparse (index, coeff)
+    radices: list[int] = []
+    for layer in null_basis(p, d).layers:
         if layer.skipped:
             continue
         ncoeffs = n - layer.poly.degree + 1
         if not layer.free:
             ncoeffs = min(ncoeffs, p)
-        if ncoeffs <= 0:
-            continue
-        scaled = reduce_coeffs(layer.poly * layer.multiplier, pd)
-        active.append((scaled, p ** layer.level, ncoeffs))
-    boxes = [iproduct(range(cm), repeat=nc) for _, cm, nc in active]
-    for choice in iproduct(*boxes):
-        f = Polynomial(())
-        for (scaled, _, _), q in zip(active, choice):
-            f = f + scaled * Polynomial(q)
-        yield reduce_coeffs(f, pd)
+        scaled = [c * layer.multiplier % pd for c in layer.poly.coeffs]
+        for k in range(ncoeffs):
+            rows.append(tuple((i + k, c) for i, c in enumerate(scaled) if c))
+            radices.append(p ** layer.level)
+    acc = [0] * (n + 1)
+    digits = [0] * len(rows)
+    while True:
+        yield Polynomial(acc)
+        i = 0
+        while i < len(rows):
+            for k, c in rows[i]:
+                acc[k] = (acc[k] + c) % pd
+            digits[i] += 1
+            if digits[i] < radices[i]:
+                break
+            digits[i] = 0
+            i += 1
+        else:
+            return
 
 
 def tower_threshold_exponent(p: int, n: int) -> int:
@@ -108,7 +135,8 @@ def tower_threshold_exponent(p: int, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     num = p ** n * (repunit(p, n) - n)
-    assert num % 2 == 0
+    if num % 2:
+        raise AssertionError(f"odd tower threshold numerator for p={p}, n={n}")
     return num // 2
 
 
@@ -117,7 +145,8 @@ def _tower_threshold_exponent_recursive(p: int, n: int) -> int:
     if n == 1:
         return 0
     step = p ** n * (p ** (n - 1) - 1)
-    assert step % 2 == 0
+    if step % 2:
+        raise AssertionError(f"odd tower block step for p={p}, n={n}")
     return step // 2 + p * _tower_threshold_exponent_recursive(p, n - 1)
 
 
@@ -135,6 +164,8 @@ def threshold_count_exponent(p: int, d: int) -> tuple[int, list[tuple[int, int, 
     Summed digit by digit: digit e at index i contributes its own block
     exponent plus e * p**i times the value carried by the digits above it.
     Returns (exponent, [(index, digit, contribution), ...] descending).
+    This is the paper's formula; the counters use the valuation sum
+    instead, and the tests hold the two equal.
     """
     dv = digit_vector(p, d)
     total = 0
@@ -147,8 +178,37 @@ def threshold_count_exponent(p: int, d: int) -> tuple[int, list[tuple[int, int, 
     return total, blocks
 
 
+def _null_count_exponent(n: int, p: int, d: int) -> int:
+    """log_p of the number of null polynomials of degree <= n mod p**d:
+    E = sum_{k<=n} min(d, v_p(k!)).
+
+    v_p(k!) >= d exactly when k >= omega1, so E is d per degree from omega1
+    to n plus S(N) = sum_{k<=N} v_p(k!) for N = min(n, omega1 - 1).
+    S(N) = sum over q = p**i of sum_{k<=N} floor(k / q), and each inner sum
+    has a = (N+1) // q full runs of q equal values 0..a-1, then N+1 - a*q
+    values equal to a.
+    """
+    omega1 = omega1_prime_power(p, d)
+    top = min(n, omega1 - 1)
+    total = d * max(0, n - omega1 + 1)
+    q = p
+    while q <= top:
+        a = (top + 1) // q
+        total += q * a * (a - 1) // 2 + a * (top + 1 - a * q)
+        q *= p
+    return total
+
+
 def count_null_le(n: int, p: int, d: int) -> CountResult:
-    """Number of null polynomials of degree <= n mod p**d (zero poly included)."""
+    """Number of null polynomials of degree <= n mod p**d (zero poly included).
+
+    The count is p**E with E = sum_{k<=n} min(d, v_p(k!)): the k-th Newton
+    coordinate of a null polynomial is a multiple of k! that matters mod
+    p**d, leaving p**min(d, v_p(k!)) choices (Singmaster 1974; Keller and
+    Olson 1968). E is computed in O(log_p n) by _null_count_exponent. The
+    trace's case names the degree range of n: below p, below omega1 - 1,
+    omega1 - 1, or omega1 and above.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if d < 1:
@@ -164,32 +224,16 @@ def count_null_le(n: int, p: int, d: int) -> CountResult:
         trace.append(("case", "below-least-null-degree"))
         trace.append(("count", 1))
         return CountResult(1, 0, tuple(trace))
+    exp = _null_count_exponent(n, p, d)
     if n >= omega1:
         extra = d * (n - omega1 + 1)
-        base_exp, blocks = threshold_count_exponent(p, d)
         trace.append(("case", "above-threshold"))
         trace.append(("free-coefficients-exponent", extra))
-        trace.append(("threshold-exponent", base_exp))
-        exp = base_exp + extra
+        trace.append(("threshold-exponent", exp - extra))
     elif n == omega1 - 1:
-        exp, blocks = threshold_count_exponent(p, d)
         trace.append(("case", "at-threshold-digit-product"))
-        for i, e, contrib in blocks:
-            trace.append((f"digit-block[index={i}, digit={e}]", contrib))
     else:
-        dstar = 1
-        while omega1_prime_power(p, dstar) <= n:
-            dstar += 1
-        dbar = dstar - 1
-        top = omega1_prime_power(p, dstar)
-        base_exp, _ = threshold_count_exponent(p, dstar)
-        peel = dbar * (top - 1 - n)
-        exp = base_exp - peel
         trace.append(("case", "band-reduction"))
-        trace.append(("band-modulus-exponent", dstar))
-        trace.append(("band-top-degree", top - 1))
-        trace.append(("band-threshold-exponent", base_exp))
-        trace.append(("peeled-exponent", peel))
     trace.append(("count-exponent", exp))
     value = p ** exp
     trace.append(("count", value if exp < 256 else f"{p}^{exp}"))
@@ -209,7 +253,7 @@ def count_monic(n: int, p: int, d: int) -> CountResult:
         trace.append(("case", "below-least-monic-degree"))
         trace.append(("count", 0))
         return CountResult(0, None, tuple(trace))
-    base_exp, _ = threshold_count_exponent(p, d)
+    base_exp = _null_count_exponent(omega1 - 1, p, d)
     extra = d * (n - omega1)
     exp = base_exp + extra
     trace.append(("case", "at-threshold" if n == omega1 else "above-threshold"))
@@ -226,7 +270,9 @@ def count_monic_le(n: int, p: int, d: int) -> CountResult:
     """Number of monic null polynomials of degree <= n mod p**d.
 
     Geometric sum of count_monic over degrees omega1..n:
-    (p**(d*(n*+1)) - 1) / (p**d - 1) times the threshold count.
+    (p**(d*(n*+1)) - 1) / (p**d - 1) times the threshold count. The factor
+    is ≡ 1 (mod p) and exceeds 1 when n* > 0, so the total is a power of
+    p only at n = omega1.
     """
     if n < 0:
         raise ValueError("degree bound must be >= 0")
@@ -236,7 +282,7 @@ def count_monic_le(n: int, p: int, d: int) -> CountResult:
             0, None, (("modulus", f"{p}^{d}"), ("case", "below-least-monic-degree"))
         )
     nstar = n - omega1
-    base_exp, _ = threshold_count_exponent(p, d)
+    base_exp = _null_count_exponent(omega1 - 1, p, d)
     pd = p ** d
     scale = (pd ** (nstar + 1) - 1) // (pd - 1)
     value = scale * p ** base_exp
@@ -247,15 +293,4 @@ def count_monic_le(n: int, p: int, d: int) -> CountResult:
         ("threshold-exponent", base_exp),
         ("geometric-factor", scale),
     )
-    exp = _pure_power_exponent(value, p)
-    return CountResult(value, exp, trace)
-
-
-def _pure_power_exponent(value: int, p: int) -> int | None:
-    if value < 1:
-        return None
-    e = 0
-    while value % p == 0:
-        value //= p
-        e += 1
-    return e if value == 1 else None
+    return CountResult(value, base_exp if n == omega1 else None, trace)

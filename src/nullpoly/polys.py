@@ -15,20 +15,19 @@ class ParseError(ValueError):
     """Raised when a polynomial text form cannot be parsed."""
 
 
-def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 class Polynomial:
     """An integer polynomial, ``coeffs[k]`` being the coefficient of x**k."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _normalize(coeffs))
+        c = tuple(coeffs)
+        if c and c[-1] == 0:
+            n = len(c) - 1
+            while n and c[n - 1] == 0:
+                n -= 1
+            c = c[:n]
+        _set_coeffs(self, c)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -134,6 +133,10 @@ class Polynomial:
 
     def __str__(self) -> str:
         return format_human(self)
+
+
+# Writes the slot past the raising __setattr__; only __init__ uses it.
+_set_coeffs = Polynomial.coeffs.__set__
 
 
 def reduce_coeffs(f: Polynomial, m: int) -> Polynomial:

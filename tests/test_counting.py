@@ -1,8 +1,13 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_null_set
 from nullpoly.construct import digit_vector, least_monic_null, omega1_prime_power
 from nullpoly.counting import (
+    _null_count_exponent,
     _tower_threshold_exponent_recursive,
     count_monic,
     count_monic_le,
@@ -15,6 +20,9 @@ from nullpoly.counting import (
 )
 from nullpoly.oracle import is_null_binomial, is_null_eval
 from nullpoly.polys import Polynomial, deg_mod, parse_polynomial
+from nullpoly.primes import is_prime
+
+PRIMES_TO_50 = [p for p in range(2, 51) if is_prime(p)]
 
 
 def test_null_basis_layers_p2_d3():
@@ -241,3 +249,37 @@ def test_count_input_validation():
         count_null_le(3, 4, 2)
     with pytest.raises(ValueError):
         count_null_le(3, 2, 0)
+
+
+def test_enumerate_anchor_2_3_8():
+    polys = list(enumerate_null(2, 3, 8))
+    distinct = set(polys)
+    assert len(polys) == len(distinct) == count_null_le(8, 2, 3).value
+    assert all(0 <= c < 8 for f in polys for c in f.coeffs)
+    for f in random.Random(8).sample(polys, 200):
+        assert is_null_binomial(f, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMES_TO_50), st.integers(min_value=1, max_value=10 ** 4))
+def test_valuation_sum_matches_digit_block_formula(p, d):
+    # the paper's digit-block product is an independent route to the count
+    # just below the least monic degree, at any size
+    w1 = omega1_prime_power(p, d)
+    assert _null_count_exponent(w1 - 1, p, d) == threshold_count_exponent(p, d)[0]
+
+
+def _vp_factorial(p: int, k: int) -> int:
+    v, q = 0, p
+    while q <= k:
+        v += k // q
+        q *= p
+    return v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMES_TO_50[:6]), st.integers(min_value=1, max_value=12), st.data())
+def test_valuation_sum_matches_naive_loop(p, d, data):
+    n = data.draw(st.integers(min_value=p, max_value=3 * omega1_prime_power(p, d)))
+    naive = sum(min(d, _vp_factorial(p, k)) for k in range(n + 1))
+    assert _null_count_exponent(n, p, d) == naive

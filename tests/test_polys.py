@@ -172,3 +172,16 @@ def test_format_parse_round_trip(f):
 def test_reduce_preserves_congruence_class(f, m):
     shifted = f + m * Polynomial((3, -1, 7))
     assert reduce_coeffs(f, m) == reduce_coeffs(shifted, m)
+
+
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
+    st.integers(min_value=0, max_value=6),
+)
+def test_trailing_zeros_are_stripped_and_immutable(c, k):
+    f = Polynomial(c + [0] * k)
+    g = Polynomial(c)
+    assert f == g and hash(f) == hash(g)
+    assert not f.coeffs or f.coeffs[-1] != 0
+    with pytest.raises(AttributeError):
+        f.coeffs = (1,)
