@@ -1,20 +1,19 @@
 """Degree reduction and a complete invariant for function equality mod m.
 
-Dividing by the factorial-product basis polynomial leaves an equivalent
-remainder of degree < mu(m); its Newton coordinates reduced mod m form a
-complete invariant, because the difference of two remainders is null mod m
-exactly when all of its Newton coordinates vanish mod m. (The remainder's
-monomial coefficients would NOT be complete: null polynomials of degree
-below mu(m) exist, e.g. p * x(x-1)...(x-p+1) mod p**2.)
+With f = sum_k b_k * x(x-1)...(x-k+1), every term with k >= mu(m) is null
+(m | k!) and a multiple of x(x-1)...(x-mu+1). So the truncation at k < mu
+is equivalent to f, and is its remainder by that basis mod m; and the
+Newton coordinates a_k = k! * b_k mod m, k < mu, are a complete invariant.
+(Monomial coefficients of the remainder are not: p * x(x-1)...(x-p+1) is a
+null polynomial mod p**2 of degree below mu.)
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .construct import kempner_basis, kempner_mu
-from .oracle import newton_coefficients
-from .polys import Polynomial, divmod_monic, reduce_coeffs
+from .construct import kempner_mu
+from .oracle import _falling_coords, _newton_coords, is_null_binomial
+from .polys import Polynomial
 
 
 @dataclass(frozen=True)
@@ -26,26 +25,25 @@ class CanonicalForm:
     a: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def _basis(m: int) -> Polynomial:
-    return kempner_basis(m)
-
-
 def reduce_degree(f: Polynomial, m: int) -> Polynomial:
     """Equivalent polynomial of degree < mu(m), coefficients in [0, m)."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    _, r = divmod_monic(f, _basis(m), m)
-    return r
+    b = list(_falling_coords(f.coeffs, m, kempner_mu(m)))
+    r: list[int] = []
+    for k in range(len(b) - 1, -1, -1):
+        # r <- r * (x - k) + b_k, Horner's scheme in the falling basis
+        r = [(lo - k * hi) % m for lo, hi in zip([b[k]] + r, r + [0])]
+    return Polynomial(r)
 
 
 def canonical_form(f: Polynomial, m: int) -> CanonicalForm:
-    r = reduce_coeffs(reduce_degree(f, m), m)
-    a = [c % m for c in newton_coefficients(r)]
-    a += [0] * (kempner_mu(m) - len(a))
+    mu = kempner_mu(m)
+    a = list(_newton_coords(f.coeffs, m))
+    a += [0] * (mu - len(a))
     return CanonicalForm(m, tuple(a))
 
 
 def equivalent(f: Polynomial, g: Polynomial, m: int) -> bool:
     """True iff f and g induce the same function on Z_m."""
-    return canonical_form(f, m) == canonical_form(g, m)
+    return is_null_binomial(f - g, m)

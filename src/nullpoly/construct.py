@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polys import Polynomial, reduce_coeffs
-from .primes import is_prime
+from .oracle import is_null_binomial
+from .polys import Polynomial
+from .primes import is_prime, prime_factorization
 
 
 def _require_prime(p: int) -> None:
@@ -102,15 +103,12 @@ def _tower_levels(p: int, n: int) -> tuple[Polynomial, ...]:
     return tuple(levels)
 
 
-_VERIFIED_LEVELS: set[tuple[int, int]] = set()
-
-
 def build_tower(p: int, n: int, verify: bool = True) -> Tower:
     """Build tower levels 1..n for the prime p.
 
-    With verify=True (the default) each level k is checked to vanish mod
-    p**repunit(p, k) on the window x = 0..p**(k+1)-1; pass verify=False
-    when constructing large towers whose outputs are checked downstream.
+    With verify=True (the default) each level k is checked null mod
+    p**repunit(p, k) by the Newton criterion; pass verify=False when
+    constructing large towers whose outputs are checked downstream.
     """
     _require_prime(p)
     if n < 1:
@@ -118,16 +116,8 @@ def build_tower(p: int, n: int, verify: bool = True) -> Tower:
     tower = Tower(p, _tower_levels(p, n))
     if verify:
         for k in range(1, n + 1):
-            if (p, k) in _VERIFIED_LEVELS:
-                continue
-            order = p ** repunit(p, k)
-            g = reduce_coeffs(tower.level(k), order)
-            for x in range(p ** (k + 1)):
-                if g.eval_mod(x, order) != 0:
-                    raise AssertionError(
-                        f"tower level {k} for p={p} fails divisibility at x={x}"
-                    )
-            _VERIFIED_LEVELS.add((p, k))
+            if not is_null_binomial(tower.level(k), p ** repunit(p, k)):
+                raise AssertionError(f"tower level {k} for p={p} is not null mod p^{repunit(p, k)}")
     return tower
 
 
@@ -237,15 +227,12 @@ def omega0_prime_power(p: int, d: int) -> int:
 
 
 def kempner_mu(m: int) -> int:
-    """Smallest t with m | t!, by incremental factorial accumulation mod m."""
+    """Smallest t with m | t!: the max of omega1_prime_power(p, d) over the
+    p**d exactly dividing m (the degree theorem). Trial division stops by
+    m's largest prime factor, which is at most mu(m)."""
     if m < 2:
         raise ValueError("kempner_mu requires m >= 2")
-    acc = 1
-    t = 0
-    while acc:
-        t += 1
-        acc = acc * t % m
-    return t
+    return max(omega1_prime_power(p, d) for p, d in prime_factorization(m))
 
 
 def kempner_basis(m: int) -> Polynomial:

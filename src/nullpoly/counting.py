@@ -36,6 +36,9 @@ from .construct import (
 from .polys import Polynomial
 from .primes import is_prime
 
+# Traces abbreviate p**E from this E on, so str() stays cheap and legal.
+_TRACE_EXPONENT_LIMIT = 256
+
 
 @dataclass(frozen=True)
 class NullLayer:
@@ -236,7 +239,7 @@ def count_null_le(n: int, p: int, d: int) -> CountResult:
         trace.append(("case", "band-reduction"))
     trace.append(("count-exponent", exp))
     value = p ** exp
-    trace.append(("count", value if exp < 256 else f"{p}^{exp}"))
+    trace.append(("count", value if exp < _TRACE_EXPONENT_LIMIT else f"{p}^{exp}"))
     return CountResult(value, exp, tuple(trace))
 
 
@@ -262,7 +265,7 @@ def count_monic(n: int, p: int, d: int) -> CountResult:
         trace.append(("free-coefficients-exponent", extra))
     trace.append(("count-exponent", exp))
     value = p ** exp
-    trace.append(("count", value if exp < 256 else f"{p}^{exp}"))
+    trace.append(("count", value if exp < _TRACE_EXPONENT_LIMIT else f"{p}^{exp}"))
     return CountResult(value, exp, tuple(trace))
 
 
@@ -283,14 +286,14 @@ def count_monic_le(n: int, p: int, d: int) -> CountResult:
         )
     nstar = n - omega1
     base_exp = _null_count_exponent(omega1 - 1, p, d)
-    pd = p ** d
-    scale = (pd ** (nstar + 1) - 1) // (pd - 1)
+    top = d * (nstar + 1)
+    scale = (p ** top - 1) // (p ** d - 1)
     value = scale * p ** base_exp
     trace = (
         ("modulus", f"{p}^{d}"),
         ("least_monic_degree", omega1),
         ("case", "geometric-sum-above-threshold"),
         ("threshold-exponent", base_exp),
-        ("geometric-factor", scale),
+        ("geometric-factor", scale if top < _TRACE_EXPONENT_LIMIT else f"({p}^{top}-1)/({p}^{d}-1)"),
     )
     return CountResult(value, base_exp if n == omega1 else None, trace)

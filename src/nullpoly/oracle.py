@@ -1,15 +1,17 @@
-"""Ground-truth tests for null-ness, null order, and functional equivalence.
+"""Null-ness and null order, read off one falling-factorial transform.
 
-Two independent routes are kept deliberately separate: the definitional
-evaluation scan over a full residue window, and the Newton (binomial
-coefficient basis) criterion. A polynomial is null mod m exactly when every
-coordinate in the basis C(x,0), C(x,1), ... is divisible by m; each m*C(x,k)
-is integer-valued and identically 0 mod m, and conversely the k-th forward
-difference at 0 of a null polynomial is a Z-combination of values ≡ 0.
+Write f = sum_k b_k * x(x-1)...(x-k+1); a_k = k! * b_k is the k-th Newton
+coordinate (forward difference at 0). f is null mod m iff every
+a_k ≡ 0 (mod m) (Singmaster 1974): a term's values are a_k * C(x, k), and
+a_k is a Z-combination of f(0..k). From the first k with k! ≡ 0 (mod m),
+k = mu(m), every a_k ≡ 0, so a scan stops there without factoring m.
+_falling_coords gives b_k mod m by synthetic division, with no evaluations.
+The definitional scan is_null_eval stays separate as the independent oracle.
 """
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterator, Sequence
 
 from .polys import Polynomial
 
@@ -25,66 +27,65 @@ def is_null_eval(f: Polynomial, m: int) -> bool:
     return all(f.eval_mod(x, m) == 0 for x in range(m))
 
 
-def newton_coefficients(f: Polynomial) -> tuple[int, ...]:
-    """Exact coordinates of f in the binomial basis: f = sum a[k]*C(x,k).
-
-    a[k] is the k-th forward difference of f at 0, always an integer for an
-    integer polynomial; length is deg(f)+1 (empty for the zero polynomial).
-    """
-    if not f:
-        return ()
-    n = f.degree
-    values = [f(x) for x in range(n + 1)]
-    out = []
-    for _ in range(n + 1):
-        out.append(values[0])
-        values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    return tuple(out)
+def _falling_coords(coeffs: Sequence[int], m: int, stop: int) -> Iterator[int]:
+    """Yield b_k mod m, k < min(len(coeffs), stop), where
+    sum_i coeffs[i] * x**i = sum_k b_k * x(x-1)...(x-k+1): step k divides
+    the quotient left by step k-1 by (x - k) in place, with remainder b_k.
+    Cost: O(deg * min(deg, stop)) multiply-adds by small ints."""
+    c = [a % m for a in coeffs]
+    for k in range(min(len(c), stop)):
+        acc = 0
+        for i in range(len(c) - 1, k - 1, -1):
+            acc = (c[i] + k * acc) % m
+            c[i] = acc
+        yield acc
 
 
-def _newton_mod(f: Polynomial, m: int) -> list[int]:
-    # Same difference table reduced mod m at every step; the verdicts of
-    # is_null_binomial only need the coefficients mod m.
-    values = [f.eval_mod(x, m) for x in range(len(f.coeffs))]
-    out = []
-    for _ in range(len(values)):
-        out.append(values[0])
-        values = [(values[i + 1] - values[i]) % m for i in range(len(values) - 1)]
-    return out
+def _newton_coords(coeffs: Sequence[int], m: int) -> Iterator[int]:
+    """Yield a_k = k! * b_k mod m for k <= deg, ending early at the first k
+    with k! ≡ 0 (mod m), k = mu(m), past which every a_k is 0."""
+    fact = 1 % m
+    for k, b in enumerate(_falling_coords(coeffs, m, len(coeffs))):
+        if k:
+            fact = fact * k % m
+        if not fact:
+            return
+        yield fact * b % m
 
 
 def is_null_binomial(f: Polynomial, m: int) -> bool:
-    """Newton-basis test: null mod m iff every basis coordinate ≡ 0 mod m."""
+    """Newton-basis test: null mod m iff every a_k = k! * b_k ≡ 0 (mod m)."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    return all(a == 0 for a in _newton_mod(f, m))
+    return not any(_newton_coords(f.coeffs, m))
 
 
 def null_order(f: Polynomial, p: int, d_max: int) -> int:
     """Largest d <= d_max with f null mod p**d; 0 if f is not null mod p.
 
-    Linear ascent is correct because nullity mod p**(d+1) implies nullity
-    mod p**d.
+    One transform mod p**d_max: f is null mod p**d iff p**d divides every
+    a_k, so the answer is min(d_max, min_k v_p(a_k mod p**d_max)).
     """
-    d = 0
-    while d < d_max and is_null_binomial(f, p ** (d + 1)):
-        d += 1
-    return d
-
-
-def equivalent_eval(f: Polynomial, g: Polynomial, m: int) -> bool:
-    """True iff f and g induce the same function on Z_m (f-g is null)."""
-    return is_null_binomial(f - g, m)
+    order = max(d_max, 0)
+    m = unit = p ** order  # unit = p**order divides every a_k seen so far
+    for a in _newton_coords(f.coeffs, m):
+        if a % unit:  # then v_p(a) < order: count it from below
+            order = 0
+            while a % p == 0:
+                a, order = a // p, order + 1
+            unit = p ** order
+        if not order:
+            break
+    return order
 
 
 def null_witness(f: Polynomial, m: int) -> int | None:
     """Smallest x >= 0 with f(x) not ≡ 0 (mod m), or None if f is null.
 
-    When some Newton coordinate a[k] is nonzero mod m a witness exists
-    already among x = 0..k, so scanning 0..max(m, deg f) never misses.
-    """
-    bound = max(m, len(f.coeffs))
-    for x in range(bound):
+    The window x < min(m, deg f + 1) is complete, so None is a verdict:
+    x < m suffices by periodicity, and x <= deg f because Δ^k f(0) is a
+    Z-combination of f(0..k) and f = sum_k Δ^k f(0) * C(x, k)."""
+    for x in range(min(m, len(f.coeffs))):
         if f.eval_mod(x, m) != 0:
             return x
     return None

@@ -1,4 +1,4 @@
-"""Shared brute-force helpers for the test suite."""
+"""Shared brute-force helpers and independent oracles for the test suite."""
 from nullpoly.polys import Polynomial, all_polynomials
 
 
@@ -14,3 +14,44 @@ def brute_null_set(m: int, max_degree: int) -> set[Polynomial]:
         if all(f.eval_mod(x, m) == 0 for x in range(m)):
             out.add(f)
     return out
+
+
+def equivalent_eval(f: Polynomial, g: Polynomial, m: int) -> bool:
+    """True iff f and g induce the same function on Z_m, by comparing
+    their value tables."""
+    return eval_vector(f, m) == eval_vector(g, m)
+
+
+def kempner_mu_scan(m: int) -> int:
+    """Smallest t with m | t!, by accumulating t! mod m: Kempner's
+    definition, independent of the factorization route the library takes."""
+    acc, t = 1, 0
+    while acc:
+        t += 1
+        acc = acc * t % m
+    return t
+
+
+def newton_coefficients(f: Polynomial) -> tuple[int, ...]:
+    """Exact coordinates of f in the binomial basis: f = sum a[k]*C(x,k).
+
+    a[k] is the k-th forward difference of f at 0, always an integer for an
+    integer polynomial; length is deg(f)+1 (empty for the zero polynomial).
+    """
+    if not f:
+        return ()
+    values = [f(x) for x in range(f.degree + 1)]
+    out = []
+    for _ in range(f.degree + 1):
+        out.append(values[0])
+        values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
+    return tuple(out)
+
+
+def from_falling(b) -> Polynomial:
+    """sum_k b[k] * x(x-1)...(x-k+1), built by exact products."""
+    f, basis = Polynomial(()), Polynomial((1,))
+    for k, bk in enumerate(b):
+        f = f + basis * bk
+        basis = basis * Polynomial((-k, 1))
+    return f

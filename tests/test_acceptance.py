@@ -6,11 +6,10 @@ lines and timings.
 import time
 from contextlib import contextmanager
 
-from conftest import brute_null_set
+from conftest import brute_null_set, kempner_mu_scan
 from nullpoly.construct import (
     build_tower,
     falling_factorial,
-    kempner_mu,
     least_monic_null,
     omega1_prime_power,
     scaled_tower_value,
@@ -76,13 +75,13 @@ def test_criterion_03_triple_degree_agreement():
             for d in range(1, 41):
                 h = least_monic_null(p, d)
                 w = omega1_prime_power(p, d)
-                assert h.degree == w == kempner_mu(p ** d), (p, d)
+                assert h.degree == w == kempner_mu_scan(p ** d), (p, d)
 
 
 def test_criterion_04_brute_force_minimality():
     with criterion(4, "brute_least_monic_degree(m, 6) = mu(m) for m in {2,3,4,5,8,9}", 60.0):
         for m in (2, 3, 4, 5, 8, 9):
-            assert brute_least_monic_degree(m, 6) == kempner_mu(m), m
+            assert brute_least_monic_degree(m, 6) == kempner_mu_scan(m), m
 
 
 def test_criterion_05_omega1_closed_forms():
@@ -170,5 +169,5 @@ def test_criterion_10_crt_composites():
             assert target == max(
                 omega1_prime_power(pp.p, pp.d) for pp in fm.factors
             )
-            assert h.degree == target == kempner_mu(m), m
+            assert h.degree == target == kempner_mu_scan(m), m
             assert is_null_composite(h, fm)

@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import eval_vector
+from conftest import equivalent_eval, eval_vector, kempner_mu_scan
 from nullpoly.canonical import CanonicalForm, canonical_form, equivalent, reduce_degree
 from nullpoly.construct import kempner_basis, kempner_mu, least_monic_null
-from nullpoly.oracle import equivalent_eval
-from nullpoly.polys import Polynomial, deg_mod, parse_polynomial, reduce_coeffs
+from nullpoly.polys import Polynomial, deg_mod, divmod_monic, parse_polynomial, reduce_coeffs
 
 X = Polynomial((0, 1))
 
@@ -124,3 +125,26 @@ def test_constant_term_lemma():
 def test_reduce_degree_requires_m_at_least_2():
     with pytest.raises(ValueError):
         reduce_degree(X, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300), st.data())
+def test_reduce_degree_is_the_basis_remainder(m, data):
+    # the truncated falling-factorial sum is the remainder of long division
+    # by x(x-1)...(x-mu+1), as polynomials mod m, not only as functions
+    n = data.draw(st.integers(0, kempner_mu_scan(m) + 30))
+    f = Polynomial(data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n + 1, max_size=n + 1)))
+    assert reduce_degree(f, m) == divmod_monic(f, kempner_basis(m), m)[1]
+
+
+_coeff_lists = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=25)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 30), _coeff_lists, _coeff_lists)
+def test_canonical_form_ignores_multiples_of_the_tower(p, d, f, g):
+    # the paper's least monic null polynomial H(p, d) and the Newton
+    # transform agree: adding any multiple of H never moves the invariant
+    f, g = Polynomial(f), Polynomial(g)
+    h = least_monic_null(p, d)
+    assert canonical_form(f + h * g, p ** d) == canonical_form(f, p ** d)

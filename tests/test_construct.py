@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import kempner_mu_scan
 from nullpoly.construct import (
     build_tower,
     digit_vector,
@@ -258,6 +261,14 @@ def test_kempner_mu_examples():
         kempner_mu(1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10 ** 5 - 1))
+def test_kempner_mu_matches_factorial_scan(m):
+    # the degree theorem (max of omega1 over the prime powers of m) against
+    # Kempner's definition
+    assert kempner_mu(m) == kempner_mu_scan(m)
+
+
 def test_kempner_basis_examples():
     k8 = kempner_basis(8)
     assert k8 == parse_polynomial("x^4-6x^3+11x^2-6x")
@@ -292,7 +303,7 @@ def test_cross_oracle_degree_agreement_small():
     for p in (2, 3):
         for d in range(1, 21):
             h = least_monic_null(p, d)
-            assert h.degree == omega1_prime_power(p, d) == kempner_mu(p ** d)
+            assert h.degree == omega1_prime_power(p, d) == kempner_mu_scan(p ** d)
 
 
 def test_tower_verification_rejects_bad_input():

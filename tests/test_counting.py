@@ -160,6 +160,13 @@ def test_threshold_identity():
             assert count_monic(w1, p, d).value == count_null_le(w1 - 1, p, d).value
 
 
+def test_count_monic_le_trace_prints_at_any_size():
+    # the geometric factor here has about 5200 digits, past Python's
+    # int-to-str limit, so the trace must abbreviate it
+    assert "(7^6240-1)/(7^40-1)" in str(count_monic_le(400, 7, 40).trace)
+    assert ("geometric-factor", 8) in count_monic_le(8, 7, 1).trace
+
+
 def test_count_monic_le_is_geometric_sum():
     for p, d in [(2, 2), (2, 3), (3, 2)]:
         w1 = omega1_prime_power(p, d)

@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from conftest import brute_null_set
-from nullpoly.construct import kempner_mu, least_monic_null
+from conftest import brute_null_set, kempner_mu_scan
+from nullpoly.construct import least_monic_null
 from nullpoly.modulus import (
     FactoredModulus,
     PrimePower,
@@ -135,7 +135,7 @@ def test_omega1_composite_examples():
 
 def test_omega1_composite_equals_mu():
     for m in range(2, 200):
-        assert omega1_composite(factor(m)) == kempner_mu(m)
+        assert omega1_composite(factor(m)) == kempner_mu_scan(m)
 
 
 def _brute_least_nonzero_null_degree(m: int, budget: int = 200_000):
@@ -186,7 +186,7 @@ def test_least_monic_null_composite_minimality():
         h = least_monic_null_composite(fm)
         assert is_monic_mod(h, m)
         assert is_null_eval(h, m)
-        assert h.degree == omega1_composite(fm) == kempner_mu(m)
+        assert h.degree == omega1_composite(fm) == kempner_mu_scan(m)
 
 
 def test_least_monic_null_composite_matches_brute_sets():

@@ -2,14 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import equivalent_eval, from_falling, newton_coefficients
 from nullpoly.construct import falling_factorial, kempner_basis, kempner_mu, least_monic_null
 from nullpoly.oracle import (
     brute_least_monic_degree,
-    equivalent_eval,
     is_null_binomial,
     is_null_eval,
-    newton_coefficients,
     null_order,
     null_witness,
 )
@@ -129,3 +130,38 @@ def test_falling_factorial_is_least_null_for_prime():
     for p in (2, 3, 5):
         assert null_order(falling_factorial(p), p, 3) >= 1
         assert brute_least_monic_degree(p, min(p, 6)) == p
+
+
+@st.composite
+def _mostly_null(draw, moduli, max_degree):
+    """(f, m) with f built from falling-factorial coordinates b_k: half the
+    time each b_k is a multiple of m / gcd(m, k!), which makes f null, and
+    then one coordinate may be nudged, which usually breaks that."""
+    m = draw(moduli)
+    n = draw(st.integers(0, max_degree))
+    b = draw(st.lists(st.integers(-m, m), min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        b = [bk * (m // math.gcd(m, math.factorial(k))) for k, bk in enumerate(b)]
+        if draw(st.booleans()):
+            b[draw(st.integers(0, n))] += draw(st.integers(1, m))
+    return from_falling(b), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mostly_null(st.integers(2, 600), 40))
+def test_newton_and_window_tests_match_the_definition(case):
+    f, m = case
+    expected = is_null_eval(f, m)
+    assert is_null_binomial(f, m) == expected
+    assert (null_witness(f, m) is None) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
+def test_null_order_matches_linear_ascent(p, d_max, data):
+    f, _ = data.draw(_mostly_null(st.sampled_from([p ** e for e in range(1, d_max + 1)]), 12))
+    f = f * p ** data.draw(st.integers(0, 2))
+    ascent = 0
+    while ascent < d_max and is_null_eval(f, p ** (ascent + 1)):
+        ascent += 1
+    assert null_order(f, p, d_max) == ascent
