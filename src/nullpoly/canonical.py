@@ -9,20 +9,21 @@ null polynomial mod p**2 of degree below mu.)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .construct import kempner_mu
 from .oracle import _falling_coords, _newton_coords, is_null_binomial
 from .polys import Polynomial
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """Newton coordinates (length mu(m), entries in [0, m)) of the
     degree-reduced representative; equal forms iff equivalent polynomials."""
 
-    m: int
-    a: tuple[int, ...]
+    __slots__ = ("m", "a")
+
+    def __init__(self, m: int, a: tuple[int, ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "a", a)
 
 
 def reduce_degree(f: Polynomial, m: int) -> Polynomial:

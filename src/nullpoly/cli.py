@@ -117,14 +117,18 @@ def _cmd_check_null(args, out):
     f = _parse_poly_arg(args.poly)
     m = _parse_modulus(args.m)
     verdicts = {}
+    witness = None
     if args.method in ("eval", "both"):
-        verdicts["eval"] = oracle.is_null_eval(f, m)
+        # the window x < min(m, deg f + 1) is complete: None is a verdict
+        witness = oracle.null_witness(f, m)
+        verdicts["eval"] = witness is None
     if args.method in ("binomial", "both"):
         verdicts["binomial"] = oracle.is_null_binomial(f, m)
     if len(set(verdicts.values())) > 1:
         raise AssertionError(f"oracle disagreement: {verdicts}")
     is_null = next(iter(verdicts.values()))
-    witness = None if is_null else oracle.null_witness(f, m)
+    if not is_null and witness is None:
+        witness = oracle.null_witness(f, m)
     if is_null:
         out.text(f"NULL (verified: {', '.join(verdicts)})")
     else:

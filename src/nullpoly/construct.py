@@ -14,9 +14,9 @@ threshold mu(p**d).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .oracle import is_null_binomial
 from .polys import Polynomial
 from .primes import is_prime, prime_factorization
@@ -142,27 +142,27 @@ def scaled_tower_value(p: int, n: int, x: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class DigitVector:
+class DigitVector(Record):
     """Digits e_1..e_n of d in the mixed radix repunit(p,1), repunit(p,2), ...
 
     Invariants: sum(e_i * repunit(p, i)) = d, every digit is in [0, p], and
     at most one digit equals p, in which case all lower digits are 0.
     """
 
-    p: int
-    d: int
-    digits: tuple[int, ...]
+    __slots__ = ("p", "d", "digits")
 
-    def __post_init__(self):
-        total = sum(e * repunit(self.p, i + 1) for i, e in enumerate(self.digits))
-        if total != self.d:
-            raise AssertionError(f"digit vector of {self.d} sums to {total}")
-        if any(e < 0 or e > self.p for e in self.digits):
+    def __init__(self, p: int, d: int, digits: tuple[int, ...]):
+        total = sum(e * repunit(p, i + 1) for i, e in enumerate(digits))
+        if total != d:
+            raise AssertionError(f"digit vector of {d} sums to {total}")
+        if any(e < 0 or e > p for e in digits):
             raise AssertionError("digit out of range")
-        tops = [i for i, e in enumerate(self.digits) if e == self.p]
-        if len(tops) > 1 or (tops and any(self.digits[j] for j in range(tops[0]))):
+        tops = [i for i, e in enumerate(digits) if e == p]
+        if len(tops) > 1 or (tops and any(digits[j] for j in range(tops[0]))):
             raise AssertionError("more than one saturated digit")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "digits", digits)
 
     @property
     def e_max(self) -> int:
@@ -228,8 +228,8 @@ def omega0_prime_power(p: int, d: int) -> int:
 
 def kempner_mu(m: int) -> int:
     """Smallest t with m | t!: the max of omega1_prime_power(p, d) over the
-    p**d exactly dividing m (the degree theorem). Trial division stops by
-    m's largest prime factor, which is at most mu(m)."""
+    p**d exactly dividing m (the degree theorem), with m factored by
+    prime_factorization."""
     if m < 2:
         raise ValueError("kempner_mu requires m >= 2")
     return max(omega1_prime_power(p, d) for p, d in prime_factorization(m))

@@ -24,9 +24,9 @@ kept as an independent check of it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
+from ._record import Record
 from .construct import (
     digit_vector,
     least_monic_null,
@@ -40,31 +40,49 @@ from .primes import is_prime
 _TRACE_EXPONENT_LIMIT = 256
 
 
-@dataclass(frozen=True)
-class NullLayer:
-    level: int
-    multiplier: int            # p**(d - level)
-    poly: Polynomial           # least-degree monic null polynomial mod p**level
-    q_degree_bound: int | None  # None: free degree; otherwise q degree < bound
-    skipped: bool
+class NullLayer(Record):
+    __slots__ = ("level", "multiplier", "poly", "q_degree_bound", "skipped")
+
+    def __init__(
+        self,
+        level: int,
+        multiplier: int,            # p**(d - level)
+        poly: Polynomial,           # least-degree monic null polynomial mod p**level
+        q_degree_bound: int | None,  # None: free degree; otherwise q degree < bound
+        skipped: bool,
+    ):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "q_degree_bound", q_degree_bound)
+        object.__setattr__(self, "skipped", skipped)
 
     @property
     def free(self) -> bool:
         return self.q_degree_bound is None
 
 
-@dataclass(frozen=True)
-class NullBasis:
-    p: int
-    d: int
-    layers: tuple[NullLayer, ...]  # descending level d..1
+class NullBasis(Record):
+    __slots__ = ("p", "d", "layers")
+
+    def __init__(self, p: int, d: int, layers: tuple[NullLayer, ...]):  # descending level d..1
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "layers", layers)
 
 
-@dataclass(frozen=True)
-class CountResult:
-    value: int
-    p_exponent: int | None  # E when value is exactly p**E, else None
-    trace: tuple[tuple[str, object], ...]
+class CountResult(Record):
+    __slots__ = ("value", "p_exponent", "trace")
+
+    def __init__(
+        self,
+        value: int,
+        p_exponent: int | None,  # E when value is exactly p**E, else None
+        trace: tuple[tuple[str, object], ...],
+    ):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "p_exponent", p_exponent)
+        object.__setattr__(self, "trace", trace)
 
 
 def null_basis(p: int, d: int) -> NullBasis:

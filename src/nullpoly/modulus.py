@@ -6,24 +6,24 @@ questions plus a coefficient-wise Chinese remainder step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import construct, oracle
+from ._record import Record
 from .polys import Polynomial, reduce_coeffs
 from .primes import is_prime, prime_factorization
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    p: int
-    d: int
+class PrimePower(Record):
+    __slots__ = ("p", "d")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.d < 1:
+    def __init__(self, p: int, d: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if d < 1:
             raise ValueError("exponent must be >= 1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
 
     @property
     def modulus(self) -> int:
@@ -45,16 +45,16 @@ class PrimePower:
         return f"{self.p}^{self.d}" if self.d > 1 else str(self.p)
 
 
-@dataclass(frozen=True)
-class FactoredModulus:
-    factors: tuple[PrimePower, ...]
+class FactoredModulus(Record):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[PrimePower, ...]):
+        if not factors:
             raise ValueError("factorization must be nonempty")
-        primes = [f.p for f in self.factors]
+        primes = [f.p for f in factors]
         if sorted(set(primes)) != primes:
             raise ValueError("primes must be strictly increasing and distinct")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def modulus(self) -> int:

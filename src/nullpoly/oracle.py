@@ -6,14 +6,20 @@ a_k ≡ 0 (mod m) (Singmaster 1974): a term's values are a_k * C(x, k), and
 a_k is a Z-combination of f(0..k). From the first k with k! ≡ 0 (mod m),
 k = mu(m), every a_k ≡ 0, so a scan stops there without factoring m.
 _falling_coords gives b_k mod m by synthetic division, with no evaluations.
+When m is prime it first folds f by x**m - x, the paper's null polynomial:
+every x**k with k >= m goes onto x**(k-m+1), leaving degree < m. f and its
+fold are the same function mod m, so their difference has every
+a_k ≡ 0 (mod m); for k < m, k! is a unit mod m, so b_k is unchanged, and
+b_k for k >= m = mu(m) is never read.
 The definitional scan is_null_eval stays separate as the independent oracle.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import product
-from typing import Iterator, Sequence
 
 from .polys import Polynomial
+from .primes import is_prime
 
 
 def is_null_eval(f: Polynomial, m: int) -> bool:
@@ -31,8 +37,17 @@ def _falling_coords(coeffs: Sequence[int], m: int, stop: int) -> Iterator[int]:
     """Yield b_k mod m, k < min(len(coeffs), stop), where
     sum_i coeffs[i] * x**i = sum_k b_k * x(x-1)...(x-k+1): step k divides
     the quotient left by step k-1 by (x - k) in place, with remainder b_k.
-    Cost: O(deg * min(deg, stop)) multiply-adds by small ints."""
-    c = [a % m for a in coeffs]
+    Cost: O(deg * min(deg, stop)) multiply-adds by small ints.
+
+    For a prime m and deg >= m, the coefficients are first folded by
+    x**m ≡ x in O(deg), and only b_k for k < m are yielded: the fold is the
+    same function mod m, and k! is a unit mod m for k < m, so those b_k are
+    f's own. The transform then costs O(m * min(m, stop))."""
+    c = list(coeffs)
+    if len(c) > m and is_prime(m):
+        for k in range(len(c) - 1, m - 1, -1):
+            c[k - m + 1] += c.pop()
+    c = [a % m for a in c]
     for k in range(min(len(c), stop)):
         acc = 0
         for i in range(len(c) - 1, k - 1, -1):

@@ -8,7 +8,7 @@ a different thing and must stay distinguishable for the counting code).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 
 class ParseError(ValueError):
@@ -31,6 +31,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.coeffs,)
 
     @classmethod
     def zero(cls) -> "Polynomial":

@@ -1,5 +1,17 @@
-"""Primality and integer factorization helpers (desk-scale moduli)."""
+"""Primality and integer factorization.
+
+prime_factorization trial-divides by 2 and the odd numbers below
+_TRIAL_BOUND = 2**10. A cofactor left over is tested with is_prime, and a
+composite one is split by Pollard's rho in Brent's variant (Pollard 1975;
+Brent 1980), whose expected cost grows as the square root of the
+second-largest prime factor.
+is_prime is Miller-Rabin with the first twelve primes as witnesses, a proof
+of primality below 3.3e24 (Sorenson & Webster) and a strong probable-prime
+test above.
+"""
 from __future__ import annotations
+
+from math import gcd
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -7,6 +19,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # (Sorenson & Webster), far beyond any modulus this library targets.
 _MR_WITNESSES = _SMALL_PRIMES
 _MR_PROVEN_BOUND = 3317044064679887385961981
+
+# Trial division runs below this bound; a larger cofactor goes to rho.
+_TRIAL_BOUND = 1 << 10
+# Brent's rho multiplies this many differences together per gcd.
+_RHO_BATCH = 128
 
 
 def is_prime(n: int) -> bool:
@@ -33,14 +50,61 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's cycle search on
+    y -> y*y + c mod n, with the gcd taken once per batch of differences.
+    A batch that overshoots to gcd n is replayed one step at a time, and a
+    c whose cycle closes mod every factor at once is replaced by c + 1."""
+    c = 0
+    while True:
+        c += 1
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _split(n: int) -> list[tuple[int, int]]:
+    """Sorted (prime, exponent) pairs of an n > 1 with no prime factor
+    below _TRIAL_BOUND, by is_prime and _rho_divisor."""
+    exponents: dict[int, int] = {}
+    stack = [n]
+    while stack:
+        n = stack.pop()
+        if is_prime(n):
+            exponents[n] = exponents.get(n, 0) + 1
+        else:
+            d = _rho_divisor(n)
+            stack += (d, n // d)
+    return sorted(exponents.items())
+
+
 def prime_factorization(m: int) -> list[tuple[int, int]]:
-    """Sorted (prime, exponent) pairs with product m, by trial division."""
+    """Sorted (prime, exponent) pairs with product m: trial division below
+    _TRIAL_BOUND, then is_prime and Pollard rho on what is left."""
     if m < 2:
         raise ValueError("factorization requires m >= 2")
     out: list[tuple[int, int]] = []
     rest = m
     p = 2
-    while p * p <= rest:
+    while p < _TRIAL_BOUND and p * p <= rest:
         if rest % p == 0:
             e = 0
             while rest % p == 0:
@@ -49,8 +113,10 @@ def prime_factorization(m: int) -> list[tuple[int, int]]:
             out.append((p, e))
             # after stripping a factor, a surviving prime cofactor is common
             if rest > 1 and is_prime(rest):
-                break
+                return out + [(rest, 1)]
         p += 1 if p == 2 else 2
-    if rest > 1:
-        out.append((rest, 1))
-    return out
+    if rest == 1:
+        return out
+    if p * p > rest or is_prime(rest):
+        return out + [(rest, 1)]
+    return out + _split(rest)

@@ -55,3 +55,20 @@ def from_falling(b) -> Polynomial:
         f = f + basis * bk
         basis = basis * Polynomial((-k, 1))
     return f
+
+
+def trial_factorization(m: int) -> list[tuple[int, int]]:
+    """Sorted (prime, exponent) pairs with product m, by trial division up
+    to the square root of what is left: no primality test, no rho."""
+    out, rest, p = [], m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        out.append((rest, 1))
+    return out

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +167,41 @@ def test_json_polynomials_round_trip_everywhere(capsys):
                     walk(v)
 
         walk(payload)
+
+
+def test_check_null_eval_verdict_reads_the_complete_window(capsys):
+    # null mod 2^20; the eval verdict needs deg f + 1 = 3 points, not 2^20
+    payload = run_json(capsys, "check-null", "524288x^2-524288x", "1048576")
+    assert payload["result"] == {"null": True, "witness": None}
+    assert payload["trace"] == [["eval", True], ["binomial", True]]
+    assert payload["verified"] is True
+    payload = run_json(capsys, "check-null", "524288x^2-524288x+1", "1048576", "--method", "eval")
+    assert payload["result"] == {"null": False, "witness": 0}
+    payload = run_json(capsys, "check-null", "x^2", "1048576", "--method", "binomial")
+    assert payload["result"] == {"null": False, "witness": 1}
+
+
+SEMIPRIME = str((10 ** 9 + 7) * (10 ** 9 + 9))
+
+
+def test_omega_of_a_semiprime_of_two_ten_digit_primes(capsys):
+    payload = run_json(capsys, "omega", SEMIPRIME)
+    assert payload["result"] == {"omega0": 10 ** 9 + 7, "omega1": 10 ** 9 + 9, "mu": 10 ** 9 + 9}
+    assert payload["trace"] == [["factorization", "1000000007 * 1000000009"]]
+
+
+def test_reduce_and_equiv_refuse_the_semiprime_by_the_mu_limit(capsys):
+    for argv in (("reduce", "x^2", SEMIPRIME), ("equiv", "x", "x^2", SEMIPRIME)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: mu({SEMIPRIME}) = {10 ** 9 + 9} exceeds the canonical-form limit 100000"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_typing():
+    # -S: no site hook, which may itself import typing
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, nullpoly.cli; print(sorted({'dataclasses', 'typing'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

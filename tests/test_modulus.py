@@ -1,9 +1,13 @@
+import math
 import random
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_null_set, kempner_mu_scan
+from conftest import brute_null_set, kempner_mu_scan, trial_factorization
 from nullpoly.construct import least_monic_null
 from nullpoly.modulus import (
     FactoredModulus,
@@ -17,7 +21,7 @@ from nullpoly.modulus import (
 )
 from nullpoly.oracle import is_null_eval
 from nullpoly.polys import Polynomial, deg_mod, is_monic_mod, parse_polynomial, poly_congruent, reduce_coeffs
-from nullpoly.primes import is_prime
+from nullpoly.primes import is_prime, prime_factorization
 
 
 def test_is_prime():
@@ -195,3 +199,40 @@ def test_least_monic_null_composite_matches_brute_sets():
 
     for m in (6, 10, 12):
         assert least_monic_null_composite(factor(m)).degree == brute_least_monic_degree(m, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10 ** 6 - 1))
+def test_prime_factorization_matches_trial_division(m):
+    assert prime_factorization(m) == trial_factorization(m)
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 10 ** 9).map(_next_prime), st.integers(1, 3)), min_size=1, max_size=4))
+def test_prime_factorization_of_products_of_large_primes(parts):
+    # exercises the rho path: cofactors with several prime factors >= 2^10
+    expected = {}
+    m = 1
+    for p, e in parts:
+        expected[p] = expected.get(p, 0) + e
+        m *= p ** e
+    got = prime_factorization(m)
+    primes = [p for p, _ in got]
+    assert primes == sorted(set(primes))
+    assert all(is_prime(p) and e >= 1 for p, e in got)
+    assert math.prod(p ** e for p, e in got) == m
+    assert got == sorted(expected.items())
+
+
+def test_factor_semiprime_of_two_ten_digit_primes_is_fast():
+    m = (10 ** 9 + 7) * (10 ** 9 + 9)
+    start = time.perf_counter()
+    fm = factor(m)
+    assert time.perf_counter() - start < 1.0
+    assert fm.factors == (PrimePower(10 ** 9 + 7, 1), PrimePower(10 ** 9 + 9, 1))

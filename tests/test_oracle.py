@@ -165,3 +165,28 @@ def test_null_order_matches_linear_ascent(p, d_max, data):
     while ascent < d_max and is_null_eval(f, p ** (ascent + 1)):
         ascent += 1
     assert null_order(f, p, d_max) == ascent
+
+
+PRIMES_TO_200 = [p for p in range(2, 200) if all(p % k for k in range(2, p))]
+
+
+@st.composite
+def _folded_null(draw):
+    """(f, p) with p prime <= 200 and deg f up to 4p, so that the fold by
+    x^p - x runs: f = (x^p - x) * h + p * g is null mod p, and half the
+    time one term r * x^j with r not ≡ 0 (mod p) is added, which is not."""
+    p = draw(st.sampled_from(PRIMES_TO_200))
+    n = draw(st.integers(0, 3 * p - 1))
+    h = Polynomial(draw(st.lists(st.integers(-p, p), min_size=n + 1, max_size=n + 1)))
+    g = Polynomial(draw(st.lists(st.integers(-p, p), max_size=4 * p + 1)))
+    f = (Polynomial.monomial(p) - X) * h + g * p
+    if draw(st.booleans()):
+        f = f + Polynomial.monomial(draw(st.integers(0, 4 * p)), draw(st.integers(1, p - 1)))
+    return f, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(_folded_null())
+def test_fold_by_x_to_the_p_keeps_the_null_verdict(case):
+    f, p = case
+    assert is_null_binomial(f, p) == is_null_eval(f, p)
