@@ -57,8 +57,9 @@ def _falling_coords(coeffs: Sequence[int], m: int, stop: int) -> Iterator[int]:
 
 
 def _newton_coords(coeffs: Sequence[int], m: int) -> Iterator[int]:
-    """Yield a_k = k! * b_k mod m for k <= deg, ending early at the first k
-    with k! ≡ 0 (mod m), k = mu(m), past which every a_k is 0."""
+    """Yield a_k = k! * b_k mod m for k < min(deg + 1, mu(m)): the scan ends
+    early at the first k with k! ≡ 0 (mod m), k = mu(m), past which every
+    a_k is 0. For a prime m that is also where the folded transform ends."""
     fact = 1 % m
     for k, b in enumerate(_falling_coords(coeffs, m, len(coeffs))):
         if k:

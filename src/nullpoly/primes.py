@@ -5,18 +5,20 @@ _TRIAL_BOUND = 2**10. A cofactor left over is tested with is_prime, and a
 composite one is split by Pollard's rho in Brent's variant (Pollard 1975;
 Brent 1980), whose expected cost grows as the square root of the
 second-largest prime factor.
-is_prime is Miller-Rabin with the first twelve primes as witnesses, a proof
-of primality below 3.3e24 (Sorenson & Webster) and a strong probable-prime
-test above.
+is_prime is Miller-Rabin with the first thirteen primes (2..41) as
+witnesses, a proof of primality below 3.3e24 (Sorenson & Webster 2017) and
+a strong probable-prime test above. Twelve witnesses would not do: the
+strong pseudoprime 318665857834031151167461 = 399165290221 * 798330580441
+passes every prime base up to 37.
 """
 from __future__ import annotations
 
 from math import gcd
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Miller-Rabin with these witnesses is deterministic below 3.3e24
-# (Sorenson & Webster), far beyond any modulus this library targets.
+# Miller-Rabin with these witnesses, the first thirteen primes, is
+# deterministic below _MR_PROVEN_BOUND (Sorenson & Webster 2017; OEIS A014233).
 _MR_WITNESSES = _SMALL_PRIMES
 _MR_PROVEN_BOUND = 3317044064679887385961981
 

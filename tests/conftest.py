@@ -1,5 +1,10 @@
-"""Shared brute-force helpers and independent oracles for the test suite."""
+"""Shared brute-force helpers, independent oracles and strategies for the
+test suite."""
+from hypothesis import strategies as st
+
 from nullpoly.polys import Polynomial, all_polynomials
+
+PRIMES_TO_200 = [p for p in range(2, 200) if all(p % k for k in range(2, p))]
 
 
 def eval_vector(f: Polynomial, m: int) -> tuple[int, ...]:
@@ -72,3 +77,12 @@ def trial_factorization(m: int) -> list[tuple[int, int]]:
     if rest > 1:
         out.append((rest, 1))
     return out
+
+
+@st.composite
+def prime_and_long_poly(draw):
+    """(f, p) with p prime <= 200 and deg f up to 4p: past degree p the
+    transform folds f by x^p - x first."""
+    p = draw(st.sampled_from(PRIMES_TO_200))
+    n = draw(st.integers(0, 4 * p))
+    return Polynomial(draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n + 1, max_size=n + 1))), p

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import equivalent_eval, eval_vector, kempner_mu_scan, newton_coefficients
+from conftest import equivalent_eval, eval_vector, kempner_mu_scan, newton_coefficients, prime_and_long_poly
 from nullpoly.canonical import CanonicalForm, canonical_form, equivalent, reduce_degree
 from nullpoly.construct import kempner_basis, kempner_mu, least_monic_null
 from nullpoly.polys import Polynomial, deg_mod, divmod_monic, parse_polynomial, reduce_coeffs
@@ -150,20 +150,8 @@ def test_canonical_form_ignores_multiples_of_the_tower(p, d, f, g):
     assert canonical_form(f + h * g, p ** d) == canonical_form(f, p ** d)
 
 
-PRIMES_TO_200 = [p for p in range(2, 200) if all(p % k for k in range(2, p))]
-
-
-@st.composite
-def _prime_and_long_poly(draw):
-    """(f, p) with p prime <= 200 and deg f up to 4p: past degree p the
-    transform folds f by x^p - x first."""
-    p = draw(st.sampled_from(PRIMES_TO_200))
-    n = draw(st.integers(0, 4 * p))
-    return Polynomial(draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n + 1, max_size=n + 1))), p
-
-
 @settings(max_examples=40, deadline=None)
-@given(_prime_and_long_poly())
+@given(prime_and_long_poly())
 def test_canonical_form_after_the_fold_is_the_newton_oracle(case):
     f, p = case
     a = [c % p for c in newton_coefficients(f)[:p]]
@@ -171,7 +159,7 @@ def test_canonical_form_after_the_fold_is_the_newton_oracle(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_prime_and_long_poly())
+@given(prime_and_long_poly())
 def test_reduce_degree_after_the_fold_is_the_basis_remainder(case):
     f, p = case
     assert reduce_degree(f, p) == divmod_monic(f, kempner_basis(p), p)[1]

@@ -190,6 +190,11 @@ def test_omega_of_a_semiprime_of_two_ten_digit_primes(capsys):
     assert payload["trace"] == [["factorization", "1000000007 * 1000000009"]]
 
 
+def test_omega_of_a_strong_pseudoprime_to_the_first_twelve_primes(capsys):
+    payload = run_json(capsys, "omega", str(399165290221 * 798330580441))
+    assert payload["result"] == {"omega0": 399165290221, "omega1": 798330580441, "mu": 798330580441}
+
+
 def test_reduce_and_equiv_refuse_the_semiprime_by_the_mu_limit(capsys):
     for argv in (("reduce", "x^2", SEMIPRIME), ("equiv", "x", "x^2", SEMIPRIME)):
         code, out, err = run_cli(capsys, *argv)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_null_set, kempner_mu_scan, trial_factorization
-from nullpoly.construct import least_monic_null
+from nullpoly.construct import kempner_mu, least_monic_null
 from nullpoly.modulus import (
     FactoredModulus,
     PrimePower,
@@ -236,3 +236,15 @@ def test_factor_semiprime_of_two_ten_digit_primes_is_fast():
     fm = factor(m)
     assert time.perf_counter() - start < 1.0
     assert fm.factors == (PrimePower(10 ** 9 + 7, 1), PrimePower(10 ** 9 + 9, 1))
+
+
+# the least strong pseudoprime to every prime base up to 37 (OEIS A014233)
+PSEUDOPRIME_TO_37 = 399165290221 * 798330580441
+
+
+def test_strong_pseudoprime_to_the_first_twelve_primes_is_split():
+    assert not is_prime(PSEUDOPRIME_TO_37)
+    assert prime_factorization(PSEUDOPRIME_TO_37) == [(399165290221, 1), (798330580441, 1)]
+    assert prime_factorization(PSEUDOPRIME_TO_37 * (10 ** 9 + 7)) == [
+        (10 ** 9 + 7, 1), (399165290221, 1), (798330580441, 1)]
+    assert kempner_mu(PSEUDOPRIME_TO_37) == 798330580441

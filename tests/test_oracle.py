@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import equivalent_eval, from_falling, newton_coefficients
+from conftest import PRIMES_TO_200, equivalent_eval, from_falling, newton_coefficients
 from nullpoly.construct import falling_factorial, kempner_basis, kempner_mu, least_monic_null
 from nullpoly.oracle import (
     brute_least_monic_degree,
@@ -165,9 +165,6 @@ def test_null_order_matches_linear_ascent(p, d_max, data):
     while ascent < d_max and is_null_eval(f, p ** (ascent + 1)):
         ascent += 1
     assert null_order(f, p, d_max) == ascent
-
-
-PRIMES_TO_200 = [p for p in range(2, 200) if all(p % k for k in range(2, p))]
 
 
 @st.composite
