@@ -6,13 +6,34 @@ is equivalent to f, and is its remainder by that basis mod m; and the
 Newton coordinates a_k = k! * b_k mod m, k < mu, are a complete invariant.
 (Monomial coefficients of the remainder are not: p * x(x-1)...(x-p+1) is a
 null polynomial mod p**2 of degree below mu.)
+
+A prime m = p is answered from the fold of f by x**p - x (oracle._fold).
+By Lagrange, the fold is the only polynomial of degree < p with f's
+function mod p, so it is the reduced polynomial, and it is the remainder
+by x(x-1)...(x-p+1) as well, because that product is ≡ x**p - x (mod p).
+The canonical form reads a_k, k < p, off the fold of length n. A short
+fold goes through the O(n**2) transform; a long one, with
+n**2 > _VALUES_CROSSOVER * p, through its values on F_p, in O(p) steps
+and two integer products (Kronecker substitution):
+- f(0) is c_0, and f(g**i), i < p - 1, for a primitive root g, is one
+  product by Bluestein's chirp, ik = T(i+k) - T(i) - T(k) with
+  T(t) = t(t-1)/2 (Bluestein 1970);
+- a_k = sum_{j<=k} C(k, j) (-1)**(k-j) f(j) is k! times the coefficient of
+  x**k in (sum_j f(j) x**j / j!) * e**(-x), a second product, since every
+  k! with k < p is a unit mod p.
 """
 from __future__ import annotations
 
 from ._record import Record
 from .construct import kempner_mu
-from .oracle import _falling_coords, _newton_coords, is_null_binomial
+from .oracle import _falling_coords, _fold, _newton_coords, is_null_binomial
 from .polys import Polynomial
+from .primes import is_prime, prime_factorization
+
+# Mod a prime p, canonical_form takes the values path when the fold's length
+# n has n**2 > _VALUES_CROSSOVER * p: the transform costs about n**2 / 2
+# steps, the values path about p steps and two products.
+_VALUES_CROSSOVER = 128
 
 
 class CanonicalForm(Record):
@@ -26,10 +47,75 @@ class CanonicalForm(Record):
         object.__setattr__(self, "a", a)
 
 
+def _product_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Coefficients mod p of the product of two nonempty lists of residues
+    mod p, by one integer product: each list is packed into fixed-width
+    byte slots wide enough for a sum of min(len) products below p**2."""
+    w = ((p - 1) ** 2 * min(len(a), len(b))).bit_length() // 8 + 1
+    x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
+    y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little")
+    n = (len(a) + len(b) - 1) * w
+    z = (x * y).to_bytes(n, "little")
+    return [int.from_bytes(z[i:i + w], "little") % p for i in range(0, n, w)]
+
+
+def _primitive_root(p: int) -> int:
+    """Least generator of the multiplicative group mod the prime p."""
+    qs = [q for q, _ in prime_factorization(p - 1)] if p > 2 else []
+    g = 1
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
+    return g
+
+
+def _newton_coords_by_values(c: list[int], p: int) -> list[int]:
+    """a_k mod p, k < p, of sum_k c[k] * x**k with c nonempty residues mod
+    the prime p and len(c) <= p, from its values on F_p: Bluestein's chirp,
+    then the exponential generating function product (module docstring)."""
+    n = min(len(c), p - 1)
+    u = c[:n]
+    if len(c) == p:  # x**(p-1) is 1 at every x != 0
+        u[0] += c[p - 1]
+    g = _primitive_root(p)
+    g_inv = pow(g, p - 2, p)
+    chirp, chirp_inv = [1] * (p - 1), [1] * (p - 1)  # g**T(t), g**-T(t)
+    step = step_inv = 1
+    for t in range(1, p - 1):
+        chirp[t] = chirp[t - 1] * step % p
+        chirp_inv[t] = chirp_inv[t - 1] * step_inv % p
+        step = step * g % p
+        step_inv = step_inv * g_inv % p
+    # g**T(t + p - 1) = -g**T(t), so the terms with i + k >= p - 1 are the
+    # product's coefficient p - 1 places lower, negated
+    s = _product_mod([u[k] * chirp_inv[k] % p for k in range(n - 1, -1, -1)], chirp, p)
+    values = [0] * p
+    values[0] = c[0]
+    x = 1
+    for i in range(p - 1):
+        j = n - 1 + i
+        values[x] = (s[j] - (s[j - p + 1] if j >= p - 1 else 0)) * chirp_inv[i] % p
+        x = x * g % p
+    fact = [1] * p
+    for k in range(1, p):
+        fact[k] = fact[k - 1] * k % p
+    fact_inv = [1] * p
+    fact_inv[p - 1] = p - 1  # Wilson: (p-1)! ≡ -1, its own inverse
+    for k in range(p - 1, 1, -1):
+        fact_inv[k - 1] = fact_inv[k] * k % p
+    e_minus = [p - e if t % 2 else e for t, e in enumerate(fact_inv)]
+    egf = _product_mod([v * e % p for v, e in zip(values, fact_inv)], e_minus, p)
+    return [fact[k] * egf[k] % p for k in range(p)]
+
+
 def reduce_degree(f: Polynomial, m: int) -> Polynomial:
-    """Equivalent polynomial of degree < mu(m), coefficients in [0, m)."""
+    """Equivalent polynomial of degree < mu(m), coefficients in [0, m): the
+    remainder of f by x(x-1)...(x-mu+1) mod m. For a prime m this is the
+    fold of f by x**m - x, by Lagrange the only polynomial of degree < m
+    with f's function, in O(deg), with no factorization and no transform."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
+    if is_prime(m):
+        return Polynomial(_fold(f.coeffs, m))
     b = list(_falling_coords(f.coeffs, m, kempner_mu(m)))
     r: list[int] = []
     for k in range(len(b) - 1, -1, -1):
@@ -39,8 +125,19 @@ def reduce_degree(f: Polynomial, m: int) -> Polynomial:
 
 
 def canonical_form(f: Polynomial, m: int) -> CanonicalForm:
-    mu = kempner_mu(m)
-    a = list(_newton_coords(f.coeffs, m))
+    """Newton coordinates a_k mod m, k < mu(m). For a prime m they are
+    read off the fold of f by x**m - x, of length n <= m and by Lagrange
+    the only polynomial of degree < m with f's function: by the transform
+    when n**2 <= _VALUES_CROSSOVER * m, else from the fold's values on F_m
+    by Bluestein's chirp and a_k from an exponential generating function
+    product, O(m) steps and two integer products."""
+    if is_prime(m):
+        c, mu = _fold(f.coeffs, m), m
+        if len(c) ** 2 > _VALUES_CROSSOVER * m:
+            return CanonicalForm(m, tuple(_newton_coords_by_values(c, m)))
+    else:
+        c, mu = f.coeffs, kempner_mu(m)
+    a = list(_newton_coords(c, m))
     a += [0] * (mu - len(a))
     return CanonicalForm(m, tuple(a))
 

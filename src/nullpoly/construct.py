@@ -42,7 +42,7 @@ def offset_product(p: int, x: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def falling_factorial(p: int) -> Polynomial:
     """x(x-1)...(x-(p-1)), the monic degree-p base of the tower.
 
@@ -87,7 +87,8 @@ class Tower:
         return self.levels[k - 1]
 
 
-@lru_cache(maxsize=None)
+# Bounded for long-lived callers; bench's tower workload asks for 14 (p, n).
+@lru_cache(maxsize=32)
 def _tower_levels(p: int, n: int) -> tuple[Polynomial, ...]:
     levels = []
     g = Polynomial((0, 1))

@@ -6,11 +6,14 @@ a_k ≡ 0 (mod m) (Singmaster 1974): a term's values are a_k * C(x, k), and
 a_k is a Z-combination of f(0..k). From the first k with k! ≡ 0 (mod m),
 k = mu(m), every a_k ≡ 0, so a scan stops there without factoring m.
 _falling_coords gives b_k mod m by synthetic division, with no evaluations.
-When m is prime it first folds f by x**m - x, the paper's null polynomial:
-every x**k with k >= m goes onto x**(k-m+1), leaving degree < m. f and its
-fold are the same function mod m, so their difference has every
-a_k ≡ 0 (mod m); for k < m, k! is a unit mod m, so b_k is unchanged, and
-b_k for k >= m = mu(m) is never read.
+A prime m needs no transform for nullity. _fold folds f by x**m - x, the
+paper's null polynomial: every x**k with k >= m goes onto x**(k-m+1),
+leaving degree < m, and f and its fold are the same function mod m. By
+Lagrange, a polynomial of degree < m over F_m is the only one of that
+degree with its function, so f is null mod m iff its fold is 0: O(deg).
+Where the transform does run on a prime (null_order, and short folds in
+canonical_form), it runs on the fold: for k < m, k! is a unit mod m, so
+the fold's b_k are f's, and b_k for k >= m = mu(m) is never read.
 The definitional scan is_null_eval stays separate as the independent oracle.
 """
 from __future__ import annotations
@@ -33,6 +36,15 @@ def is_null_eval(f: Polynomial, m: int) -> bool:
     return all(f.eval_mod(x, m) == 0 for x in range(m))
 
 
+def _fold(coeffs: Sequence[int], p: int) -> list[int]:
+    """Coefficients mod the prime p of the fold of f by x**p ≡ x, of length
+    min(len(coeffs), p): x**k with k >= 1 lands on x**j, 1 <= j < p,
+    j ≡ k (mod p - 1), the same function mod p. Trailing zeros are kept."""
+    if not coeffs:
+        return []
+    return [coeffs[0] % p] + [sum(coeffs[j::p - 1]) % p for j in range(1, min(len(coeffs), p))]
+
+
 def _falling_coords(coeffs: Sequence[int], m: int, stop: int) -> Iterator[int]:
     """Yield b_k mod m, k < min(len(coeffs), stop), where
     sum_i coeffs[i] * x**i = sum_k b_k * x(x-1)...(x-k+1): step k divides
@@ -43,11 +55,10 @@ def _falling_coords(coeffs: Sequence[int], m: int, stop: int) -> Iterator[int]:
     x**m ≡ x in O(deg), and only b_k for k < m are yielded: the fold is the
     same function mod m, and k! is a unit mod m for k < m, so those b_k are
     f's own. The transform then costs O(m * min(m, stop))."""
-    c = list(coeffs)
-    if len(c) > m and is_prime(m):
-        for k in range(len(c) - 1, m - 1, -1):
-            c[k - m + 1] += c.pop()
-    c = [a % m for a in c]
+    if len(coeffs) > m and is_prime(m):
+        c = _fold(coeffs, m)
+    else:
+        c = [a % m for a in coeffs]
     for k in range(min(len(c), stop)):
         acc = 0
         for i in range(len(c) - 1, k - 1, -1):
@@ -70,9 +81,15 @@ def _newton_coords(coeffs: Sequence[int], m: int) -> Iterator[int]:
 
 
 def is_null_binomial(f: Polynomial, m: int) -> bool:
-    """Newton-basis test: null mod m iff every a_k = k! * b_k ≡ 0 (mod m)."""
+    """Newton-basis test: null mod m iff every a_k = k! * b_k ≡ 0 (mod m).
+
+    For a prime m, null iff the fold of f by x**m - x is 0 mod m, in
+    O(deg) with no transform: by Lagrange, the fold is the only polynomial
+    of degree < m with f's function mod m."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
+    if is_prime(m):
+        return not any(_fold(f.coeffs, m))
     return not any(_newton_coords(f.coeffs, m))
 
 

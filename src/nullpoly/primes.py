@@ -4,7 +4,10 @@ prime_factorization trial-divides by 2 and the odd numbers below
 _TRIAL_BOUND = 2**10. A cofactor left over is tested with is_prime, and a
 composite one is split by Pollard's rho in Brent's variant (Pollard 1975;
 Brent 1980), whose expected cost grows as the square root of the
-second-largest prime factor.
+second-largest prime factor. Rho gets _RHO_BUDGET steps per split; a
+composite it cannot split within them is refused with a ValueError, so a
+product of two primes much above 10**12 is refused in seconds instead of
+being searched for hours.
 is_prime is Miller-Rabin with the first thirteen primes (2..41) as
 witnesses, a proof of primality below 3.3e24 (Sorenson & Webster 2017) and
 a strong probable-prime test above. Twelve witnesses would not do: the
@@ -26,6 +29,10 @@ _MR_PROVEN_BOUND = 3317044064679887385961981
 _TRIAL_BOUND = 1 << 10
 # Brent's rho multiplies this many differences together per gcd.
 _RHO_BATCH = 128
+# Steps of y -> y*y + c that one split may take, about a second at 10**36. The
+# rounds r = 1, 2, 4, ... of 2r steps each fit up to r = 2**19, where
+# (10**12+39)(10**12+61) is split; two primes near 10**18 would need 1e9.
+_RHO_BUDGET = 1 << 21
 
 
 def is_prime(n: int) -> bool:
@@ -52,16 +59,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rho_divisor(n: int) -> int:
+def _rho_divisor(n: int) -> int | None:
     """A proper divisor of the odd composite n, by Brent's cycle search on
     y -> y*y + c mod n, with the gcd taken once per batch of differences.
     A batch that overshoots to gcd n is replayed one step at a time, and a
-    c whose cycle closes mod every factor at once is replaced by c + 1."""
-    c = 0
+    c whose cycle closes mod every factor at once is replaced by c + 1.
+    None, with no divisor found, before a round of 2r steps would take the
+    steps over all c past _RHO_BUDGET."""
+    c = steps = 0
     while True:
         c += 1
         y, q, g, r = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_BUDGET:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -83,9 +95,9 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-def _split(n: int) -> list[tuple[int, int]]:
-    """Sorted (prime, exponent) pairs of an n > 1 with no prime factor
-    below _TRIAL_BOUND, by is_prime and _rho_divisor."""
+def _split(m: int, n: int) -> list[tuple[int, int]]:
+    """Sorted (prime, exponent) pairs of the cofactor n > 1 of m, with no
+    prime factor below _TRIAL_BOUND, by is_prime and _rho_divisor."""
     exponents: dict[int, int] = {}
     stack = [n]
     while stack:
@@ -94,6 +106,9 @@ def _split(n: int) -> list[tuple[int, int]]:
             exponents[n] = exponents.get(n, 0) + 1
         else:
             d = _rho_divisor(n)
+            if d is None:
+                raise ValueError(f"cannot factor {m}: Pollard rho found no divisor of {n} "
+                                 f"within its budget of {_RHO_BUDGET} steps")
             stack += (d, n // d)
     return sorted(exponents.items())
 
@@ -121,4 +136,4 @@ def prime_factorization(m: int) -> list[tuple[int, int]]:
         return out
     if p * p > rest or is_prime(rest):
         return out + [(rest, 1)]
-    return out + _split(rest)
+    return out + _split(m, rest)

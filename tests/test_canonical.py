@@ -1,12 +1,29 @@
 import random
+import time
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import equivalent_eval, eval_vector, kempner_mu_scan, newton_coefficients, prime_and_long_poly
-from nullpoly.canonical import CanonicalForm, canonical_form, equivalent, reduce_degree
+from conftest import (
+    PRIMES_TO_200,
+    equivalent_eval,
+    eval_vector,
+    kempner_mu_scan,
+    newton_coefficients,
+    prime_and_long_poly,
+)
+from nullpoly.canonical import (
+    _VALUES_CROSSOVER,
+    CanonicalForm,
+    _newton_coords_by_values,
+    canonical_form,
+    equivalent,
+    reduce_degree,
+)
 from nullpoly.construct import kempner_basis, kempner_mu, least_monic_null
+from nullpoly.oracle import _fold
 from nullpoly.polys import Polynomial, deg_mod, divmod_monic, parse_polynomial, reduce_coeffs
 
 X = Polynomial((0, 1))
@@ -150,12 +167,70 @@ def test_canonical_form_ignores_multiples_of_the_tower(p, d, f, g):
     assert canonical_form(f + h * g, p ** d) == canonical_form(f, p ** d)
 
 
+def _newton_mod(f, p):
+    """a_k mod p, k < p, from the exact forward differences of f."""
+    a = [c % p for c in newton_coefficients(f)[:p]]
+    return a + [0] * (p - len(a))
+
+
 @settings(max_examples=40, deadline=None)
 @given(prime_and_long_poly())
 def test_canonical_form_after_the_fold_is_the_newton_oracle(case):
     f, p = case
-    a = [c % p for c in newton_coefficients(f)[:p]]
-    assert canonical_form(f, p) == CanonicalForm(p, tuple(a + [0] * (p - len(a))))
+    assert canonical_form(f, p) == CanonicalForm(p, tuple(_newton_mod(f, p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime_and_long_poly())
+def test_values_path_is_the_newton_oracle(case):
+    # called directly, so it is checked whichever side of the crossover
+    # canonical_form would put the fold on
+    f, p = case
+    assert _newton_coords_by_values(_fold(f.coeffs, p) or [0], p) == _newton_mod(f, p)
+
+
+def test_values_path_on_every_prime_to_200():
+    rng = random.Random(200)
+    for p in PRIMES_TO_200:
+        for n in (1, 2, p - 1, p, 2 * p + 1):
+            f = Polynomial([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n - 1)] + [rng.randrange(1, p)])
+            assert _newton_coords_by_values(_fold(f.coeffs, p), p) == _newton_mod(f, p), (p, n)
+
+
+def test_canonical_form_on_both_sides_of_the_crossover():
+    # folds of length n <= n0 take the transform, longer ones the values
+    p = 461
+    n0 = isqrt(_VALUES_CROSSOVER * p)
+    assert n0 + 2 < p
+    rng = random.Random(p)
+    for n in (n0 - 1, n0, n0 + 1, n0 + 2):
+        f = Polynomial([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n - 1)] + [1])
+        assert canonical_form(f, p) == CanonicalForm(p, tuple(_newton_mod(f, p))), n
+
+
+def test_prime_moduli_are_fast():
+    # the values path costs about p steps: a short fold must not take it
+    start = time.perf_counter()
+    cf = canonical_form(Polynomial((1, 0, 0, 1)), 99991)
+    assert time.perf_counter() - start < 0.2
+    assert cf.a[:4] == (1, 1, 6, 6) and not any(cf.a[4:])
+    p = 9973
+    rng = random.Random(p)
+    f = Polynomial([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(15000)] + [1])
+    start = time.perf_counter()
+    cf = canonical_form(f, p)
+    assert time.perf_counter() - start < 3.0
+    start = time.perf_counter()
+    r = reduce_degree(f, p)
+    assert time.perf_counter() - start < 3.0
+    assert r.degree < p and canonical_form(r, p) == cf
+    for x in rng.sample(range(p), 3):
+        # f(x) = sum_k a_k * C(x, k), and r is the same function
+        value, binom = 0, 1
+        for k in range(x + 1):
+            value += cf.a[k] * binom
+            binom = binom * (x - k) // (k + 1)
+        assert value % p == f.eval_mod(x, p) == r.eval_mod(x, p)
 
 
 @settings(max_examples=40, deadline=None)

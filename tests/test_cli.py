@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,15 @@ def test_omega_of_a_semiprime_of_two_ten_digit_primes(capsys):
 def test_omega_of_a_strong_pseudoprime_to_the_first_twelve_primes(capsys):
     payload = run_json(capsys, "omega", str(399165290221 * 798330580441))
     assert payload["result"] == {"omega0": 399165290221, "omega1": 798330580441, "mu": 798330580441}
+
+
+def test_omega_refuses_a_semiprime_of_two_primes_above_1e18(capsys):
+    m = (10 ** 18 + 3) * (10 ** 18 + 9)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "omega", str(m))
+    assert time.perf_counter() - start < 5.0
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot factor {m}: ") and err.count("\n") == 1
 
 
 def test_reduce_and_equiv_refuse_the_semiprime_by_the_mu_limit(capsys):

@@ -21,7 +21,7 @@ from nullpoly.modulus import (
 )
 from nullpoly.oracle import is_null_eval
 from nullpoly.polys import Polynomial, deg_mod, is_monic_mod, parse_polynomial, poly_congruent, reduce_coeffs
-from nullpoly.primes import is_prime, prime_factorization
+from nullpoly.primes import _RHO_BUDGET, is_prime, prime_factorization
 
 
 def test_is_prime():
@@ -236,6 +236,16 @@ def test_factor_semiprime_of_two_ten_digit_primes_is_fast():
     fm = factor(m)
     assert time.perf_counter() - start < 1.0
     assert fm.factors == (PrimePower(10 ** 9 + 7, 1), PrimePower(10 ** 9 + 9, 1))
+
+
+def test_rho_budget_splits_two_thirteen_digit_primes_and_refuses_two_near_1e18():
+    assert prime_factorization((10 ** 12 + 39) * (10 ** 12 + 61)) == [(10 ** 12 + 39, 1), (10 ** 12 + 61, 1)]
+    m = (10 ** 18 + 3) * (10 ** 18 + 9)
+    for call in (prime_factorization, kempner_mu):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"cannot factor {m}: .* budget of {_RHO_BUDGET} steps"):
+            call(m)
+        assert time.perf_counter() - start < 5.0
 
 
 # the least strong pseudoprime to every prime base up to 37 (OEIS A014233)

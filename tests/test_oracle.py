@@ -169,16 +169,17 @@ def test_null_order_matches_linear_ascent(p, d_max, data):
 
 @st.composite
 def _folded_null(draw):
-    """(f, p) with p prime <= 200 and deg f up to 4p, so that the fold by
-    x^p - x runs: f = (x^p - x) * h + p * g is null mod p, and half the
-    time one term r * x^j with r not ≡ 0 (mod p) is added, which is not."""
+    """(f, p) with p prime <= 200 and deg f up to 4p, below p as well as
+    past it, where the fold by x^p - x runs: f = (x^p - x) * h + p * g is
+    null mod p, and half the time one term r * x^j with r not ≡ 0 (mod p)
+    is added, which is not."""
     p = draw(st.sampled_from(PRIMES_TO_200))
-    n = draw(st.integers(0, 3 * p - 1))
-    h = Polynomial(draw(st.lists(st.integers(-p, p), min_size=n + 1, max_size=n + 1)))
-    g = Polynomial(draw(st.lists(st.integers(-p, p), max_size=4 * p + 1)))
+    top = draw(st.integers(0, 4 * p))
+    h = Polynomial(draw(st.lists(st.integers(-p, p), max_size=max(top - p + 1, 0))))
+    g = Polynomial(draw(st.lists(st.integers(-p, p), max_size=top + 1)))
     f = (Polynomial.monomial(p) - X) * h + g * p
     if draw(st.booleans()):
-        f = f + Polynomial.monomial(draw(st.integers(0, 4 * p)), draw(st.integers(1, p - 1)))
+        f = f + Polynomial.monomial(draw(st.integers(0, top)), draw(st.integers(1, p - 1)))
     return f, p
 
 
