@@ -1,121 +1,54 @@
 """Null polynomials modulo prime powers and composites.
 
-Exact construction of least-degree (monic) null polynomials, the least
-degrees omega0/omega1 and Kempner's mu, null-ness and equivalence testing,
-and enumeration/counting of all null polynomials of bounded degree — with
-closed forms cross-checked against brute-force oracles.
+Exact construction of least-degree monic null polynomials from the p-adic
+tower, the least degrees omega0/omega1 and Kempner's mu, null-ness and
+equivalence testing, and counting and enumeration of all null polynomials
+of bounded degree. Each question has one path: nullity, null order,
+canonical form, degree reduction, counting and enumeration all rest on
+the falling-factorial coordinates b_k of f = sum b_k * x(x-1)...(x-k+1)
+(for a prime modulus p, on the fold of f by x**p - x). The paper's own
+formulas that no question needs (the layered enumeration, the digit-block
+count, the scaled tower values) and the brute-force checks live in the
+tests as independent oracles.
 """
 from .canonical import CanonicalForm, canonical_form, equivalent, reduce_degree
-from .construct import (
-    DigitVector,
-    Tower,
-    build_tower,
-    digit_vector,
-    falling_factorial,
-    kempner_basis,
-    kempner_mu,
-    least_monic_null,
-    offset_product,
-    omega0_prime_power,
-    omega1_prime_power,
-    repunit,
-    scaled_tower_value,
-)
-from .counting import (
-    CountResult,
-    NullBasis,
-    NullLayer,
-    count_monic,
-    count_monic_le,
-    count_null_le,
-    enumerate_null,
-    null_basis,
-    threshold_count_exponent,
-    tower_block_exponent,
-    tower_threshold_exponent,
-)
+from .construct import build_tower, digit_vector, kempner_basis, kempner_mu, least_monic_null
+from .counting import CountResult, count_monic, count_monic_le, count_null_le, enumerate_null
 from .modulus import (
-    FactoredModulus,
     PrimePower,
     crt_combine_poly,
     factor,
-    is_null_composite,
     least_monic_null_composite,
     omega0_composite,
     omega1_composite,
 )
-from .oracle import (
-    brute_least_monic_degree,
-    is_null_binomial,
-    is_null_eval,
-    null_order,
-    null_witness,
-)
-from .polys import (
-    ParseError,
-    Polynomial,
-    deg_mod,
-    divmod_monic,
-    format_csv,
-    format_human,
-    is_monic_mod,
-    parse_polynomial,
-    poly_congruent,
-    reduce_coeffs,
-)
-from .primes import is_prime
+from .oracle import is_null_binomial, null_order
+from .polys import ParseError, Polynomial, parse_polynomial
 
 __all__ = [
     "CanonicalForm",
     "CountResult",
-    "DigitVector",
-    "FactoredModulus",
-    "NullBasis",
-    "NullLayer",
     "ParseError",
     "Polynomial",
     "PrimePower",
-    "Tower",
-    "brute_least_monic_degree",
     "build_tower",
     "canonical_form",
     "count_monic",
     "count_monic_le",
     "count_null_le",
     "crt_combine_poly",
-    "deg_mod",
     "digit_vector",
-    "divmod_monic",
     "enumerate_null",
     "equivalent",
     "factor",
-    "falling_factorial",
-    "format_csv",
-    "format_human",
-    "is_monic_mod",
     "is_null_binomial",
-    "is_null_composite",
-    "is_null_eval",
-    "is_prime",
     "kempner_basis",
     "kempner_mu",
     "least_monic_null",
     "least_monic_null_composite",
-    "null_basis",
     "null_order",
-    "null_witness",
-    "offset_product",
     "omega0_composite",
-    "omega0_prime_power",
     "omega1_composite",
-    "omega1_prime_power",
     "parse_polynomial",
-    "poly_congruent",
-    "reduce_coeffs",
     "reduce_degree",
-    "repunit",
-    "scaled_tower_value",
-    "threshold_count_exponent",
-    "tower_block_exponent",
-    "tower_threshold_exponent",
 ]

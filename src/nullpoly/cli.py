@@ -13,7 +13,6 @@ from .polys import (
     format_csv,
     format_human,
     parse_polynomial,
-    poly_congruent,
     reduce_coeffs,
 )
 
@@ -23,10 +22,6 @@ _MU_LIMIT = 10 ** 5  # longest canonical form (mu(m) entries) reduce and equiv p
 
 def _poly_json(f: Polynomial) -> dict:
     return {"coeffs": format_csv(f), "human": format_human(f)}
-
-
-def _parse_poly_arg(text: str) -> Polynomial:
-    return parse_polynomial(text)
 
 
 def _parse_modulus(text: str) -> int:
@@ -86,12 +81,12 @@ def _cmd_construct(args, out):
         poly = construct.least_monic_null(p, d)
         m = p ** d
     elif family == "G":
-        poly = construct.build_tower(p, d, verify=False).level(d)
+        poly = construct.build_tower(p, d)[-1]
         m = p ** construct.repunit(p, d)
     else:
         poly = construct.kempner_basis(p ** d)
         m = p ** d
-    digits = construct.digit_vector(p, d).digits
+    digits = construct.digit_vector(p, d)
     if not oracle.is_null_binomial(poly, m) or oracle.null_witness(reduce_coeffs(poly, m), m) is not None:
         raise AssertionError("constructed polynomial failed the null oracle")
     out.text(f"{family}(p={p}, d={d}) modulo {m}:")
@@ -114,7 +109,7 @@ def _cmd_construct(args, out):
 
 
 def _cmd_check_null(args, out):
-    f = _parse_poly_arg(args.poly)
+    f = parse_polynomial(args.poly)
     m = _parse_modulus(args.m)
     verdicts = {}
     witness = None
@@ -142,7 +137,7 @@ def _cmd_check_null(args, out):
 
 
 def _cmd_order(args, out):
-    f = _parse_poly_arg(args.poly)
+    f = parse_polynomial(args.poly)
     p = args.p
     if not modulus.is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -159,8 +154,8 @@ def _cmd_order(args, out):
 
 
 def _cmd_equiv(args, out):
-    f = _parse_poly_arg(args.f)
-    g = _parse_poly_arg(args.g)
+    f = parse_polynomial(args.f)
+    g = parse_polynomial(args.g)
     m = _parse_modulus(args.m)
     _check_mu(m)
     cf = canonical.canonical_form(f, m)
@@ -184,7 +179,7 @@ def _cmd_equiv(args, out):
 
 
 def _cmd_reduce(args, out):
-    f = _parse_poly_arg(args.poly)
+    f = parse_polynomial(args.poly)
     m = _parse_modulus(args.m)
     _check_mu(m)
     r = canonical.reduce_degree(f, m)
@@ -203,16 +198,8 @@ def _cmd_reduce(args, out):
     )
 
 
-def _check_pd(p: int, d: int) -> None:
-    if not modulus.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-
-
 def _cmd_count(args, out):
     n, p, d = args.n, args.p, args.d
-    _check_pd(p, d)
     if args.monic:
         res = counting.count_monic(n, p, d)
         probe = counting.count_null_le(n, p, d)
@@ -252,7 +239,6 @@ def _cmd_count(args, out):
 
 def _cmd_enumerate(args, out):
     n, p, d = args.n, args.p, args.d
-    _check_pd(p, d)
     total = counting.count_null_le(n, p, d).value
     if total > args.limit:
         raise ValueError(
@@ -279,7 +265,7 @@ def _cmd_crt(args, out):
         raise ParseError("crt expects pairs: <poly> <p^d> [<poly> <p^d> ...]")
     parts = []
     for i in range(0, len(items), 2):
-        f = _parse_poly_arg(items[i])
+        f = parse_polynomial(items[i])
         pp = modulus.PrimePower.parse(items[i + 1])
         parts.append((f, pp))
     combined = modulus.crt_combine_poly(parts)
@@ -287,7 +273,7 @@ def _cmd_crt(args, out):
     for _, pp in parts:
         m *= pp.modulus
     for f, pp in parts:
-        if not poly_congruent(combined, f, pp.modulus):
+        if reduce_coeffs(combined - f, pp.modulus):
             raise AssertionError(f"combined polynomial not congruent mod {pp}")
     out.text(f"modulus: {m}")
     out.text(f"combined: {format_human(combined)}")

@@ -1,74 +1,38 @@
 """Enumerate and count null polynomials of bounded degree mod p**d.
 
-Every null polynomial mod p**d decomposes uniquely as
+Write f = sum_k b_k * x(x-1)...(x-k+1). f is null mod p**d iff
+p**(d - e_k) divides b_k for every k, where e_k = min(d, v_p(k!)): the
+term's values are k! * b_k * C(x, k), and the Newton coordinate k! * b_k
+is a Z-combination of f(0..k) (Singmaster 1974; Keller and Olson 1968).
+The falling factorials are monic, so f mod p**d fixes every b_k mod p**d,
+and the null polynomials of degree <= n mod p**d are the sums
 
-    f = sum over layers j = d..1 of  p**(d-j) * B_j * q_j   (mod p**d)
+    sum_{k<=n} c_k * p**(d - e_k) * x(x-1)...(x-k+1)  (mod p**d),
+    0 <= c_k < p**e_k,
 
-where B_j is the least-degree monic null polynomial mod p**j, q_d is free,
-q_j for j < d has degree < p, a layer is dropped when its digit vector
-saturates (its basis polynomial repeats the next layer's degree), and the
-coefficients of q_j matter mod p**j. The null set is therefore a product
-of independent coefficient boxes. enumerate_null walks it as a
-mixed-radix odometer: one row p**(d-j) * B_j * x**k mod p**d per free
-coefficient, radix p**j, and radix * row ≡ 0 (mod p**d), so every step
-only adds a row.
+each exactly once. Counting reads the size of that box: p**E with
+E(n, p, d) = sum_{k<=n} e_k, in O(log_p n). enumerate_null walks it as a
+mixed-radix odometer with one row p**(d - e_k) * x(x-1)...(x-k+1) mod p**d
+and radix p**e_k per k with e_k > 0.
 
-Counting uses the valuation-sum identity: there are p**E null
-polynomials of degree <= n mod p**d, with
-
-    E(n, p, d) = sum_{k<=n} min(d, v_p(k!)),
-
-the Newton-coordinate view of Singmaster (1974) and Keller-Olson (1968).
-The paper's digit-block threshold formula (threshold_count_exponent) is
-kept as an independent check of it.
+The paper's own route to both answers, a sum of layers p**(d-j) * B_j * q_j
+over the least monic null polynomials B_j mod p**j (its enumeration
+theorem) and the digit-block count below omega1, lives in the tests
+(tests/conftest.py) as the independent oracle for this one: it needs the
+tower and the digit vector, and the falling-factorial identity already
+answers count and enumeration from one formula.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 
 from ._record import Record
-from .construct import (
-    digit_vector,
-    least_monic_null,
-    omega1_prime_power,
-    repunit,
-)
+from .construct import omega1_prime_power
 from .polys import Polynomial
 from .primes import is_prime
 
 # Traces abbreviate p**E from this E on, so str() stays cheap and legal.
 _TRACE_EXPONENT_LIMIT = 256
-
-
-class NullLayer(Record):
-    __slots__ = ("level", "multiplier", "poly", "q_degree_bound", "skipped")
-
-    def __init__(
-        self,
-        level: int,
-        multiplier: int,            # p**(d - level)
-        poly: Polynomial,           # least-degree monic null polynomial mod p**level
-        q_degree_bound: int | None,  # None: free degree; otherwise q degree < bound
-        skipped: bool,
-    ):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "multiplier", multiplier)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "q_degree_bound", q_degree_bound)
-        object.__setattr__(self, "skipped", skipped)
-
-    @property
-    def free(self) -> bool:
-        return self.q_degree_bound is None
-
-
-class NullBasis(Record):
-    __slots__ = ("p", "d", "layers")
-
-    def __init__(self, p: int, d: int, layers: tuple[NullLayer, ...]):  # descending level d..1
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "layers", layers)
 
 
 class CountResult(Record):
@@ -85,54 +49,47 @@ class CountResult(Record):
         object.__setattr__(self, "trace", trace)
 
 
-def null_basis(p: int, d: int) -> NullBasis:
-    """Layered decomposition basis for null polynomials mod p**d."""
+def _check_args(n: int, p: int, d: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if d < 1:
         raise ValueError("d must be >= 1")
-    layers = []
-    for j in range(d, 0, -1):
-        skipped = j < d and digit_vector(p, j).e_max == p
-        layers.append(
-            NullLayer(
-                level=j,
-                multiplier=p ** (d - j),
-                poly=least_monic_null(p, j),
-                q_degree_bound=None if j == d else p,
-                skipped=skipped,
-            )
-        )
-    return NullBasis(p, d, tuple(layers))
+    if n < 0:
+        raise ValueError("degree bound must be >= 0")
 
 
 def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
     """Yield every null polynomial of degree <= n mod p**d exactly once.
 
-    A mixed-radix odometer over one flat coefficient list. Each free
-    coefficient of the decomposition owns a digit of radix p**j and a row,
-    the scaled basis term p**(d-j) * B_j * x**k reduced mod p**d. Advancing
-    a digit adds its row to the list in place, mod p**d. Since
-    radix * row ≡ 0 (mod p**d), a digit that wraps to 0 just adds its row
-    once more and carries, so the odometer never subtracts or rebuilds.
+    A mixed-radix odometer over one flat coefficient list. Each k <= n with
+    e_k = min(d, v_p(k!)) > 0 owns a digit of radix p**e_k and a row,
+    p**(d - e_k) * x(x-1)...(x-k+1) reduced mod p**d; k runs upward, so the
+    fastest digit has the shortest row. Advancing a digit adds its row to
+    the list in place, mod p**d. Since radix * row ≡ 0 (mod p**d), a digit
+    that wraps to 0 just adds its row once more and carries, so the
+    odometer never subtracts or rebuilds.
 
+    Rejects what count_null_le rejects, with the same messages.
     Coefficients come out reduced to [0, p**d). The caller is responsible
     for bounding the total via count_null_le first; generation order is an
     implementation detail (the CLI sorts).
     """
+    _check_args(n, p, d)
     pd = p ** d
     rows: list[tuple[tuple[int, int], ...]] = []  # sparse (index, coeff)
     radices: list[int] = []
-    for layer in null_basis(p, d).layers:
-        if layer.skipped:
-            continue
-        ncoeffs = n - layer.poly.degree + 1
-        if not layer.free:
-            ncoeffs = min(ncoeffs, p)
-        scaled = [c * layer.multiplier % pd for c in layer.poly.coeffs]
-        for k in range(ncoeffs):
-            rows.append(tuple((i + k, c) for i, c in enumerate(scaled) if c))
-            radices.append(p ** layer.level)
+    falling, v = [1], 0  # x(x-1)...(x-k+1) mod p**d, ascending; v_p(k!)
+    for k in range(1, n + 1):
+        falling = [(lo - (k - 1) * hi) % pd for lo, hi in zip([0] + falling, falling + [0])]
+        q = k
+        while q % p == 0:
+            q, v = q // p, v + 1
+        e = min(d, v)
+        if e:
+            scale = p ** (d - e)
+            row = [(i, c * scale % pd) for i, c in enumerate(falling)]
+            rows.append(tuple((i, c) for i, c in row if c))
+            radices.append(p ** e)
     acc = [0] * (n + 1)
     digits = [0] * len(rows)
     while True:
@@ -148,55 +105,6 @@ def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
             i += 1
         else:
             return
-
-
-def tower_threshold_exponent(p: int, n: int) -> int:
-    """log_p of the number of null polynomials of degree < p**n mod
-    p**repunit(p, n): closed form p**n * (repunit(p, n) - n) / 2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    num = p ** n * (repunit(p, n) - n)
-    if num % 2:
-        raise AssertionError(f"odd tower threshold numerator for p={p}, n={n}")
-    return num // 2
-
-
-def _tower_threshold_exponent_recursive(p: int, n: int) -> int:
-    # product-over-blocks recursion; kept as a cross-check for the closed form
-    if n == 1:
-        return 0
-    step = p ** n * (p ** (n - 1) - 1)
-    if step % 2:
-        raise AssertionError(f"odd tower block step for p={p}, n={n}")
-    return step // 2 + p * _tower_threshold_exponent_recursive(p, n - 1)
-
-
-def tower_block_exponent(p: int, n: int, i: int) -> int:
-    """log_p of the below-threshold count when the top digit is i at index n:
-    i*(i-1)*p**n*repunit(p,n)/2 + i*tower_threshold_exponent(p,n)."""
-    if not 0 <= i <= p:
-        raise ValueError("digit must be in [0, p]")
-    return i * (i - 1) * p ** n * repunit(p, n) // 2 + i * tower_threshold_exponent(p, n)
-
-
-def threshold_count_exponent(p: int, d: int) -> tuple[int, list[tuple[int, int, int]]]:
-    """log_p of the count of null polynomials of degree < omega1 mod p**d.
-
-    Summed digit by digit: digit e at index i contributes its own block
-    exponent plus e * p**i times the value carried by the digits above it.
-    Returns (exponent, [(index, digit, contribution), ...] descending).
-    This is the paper's formula; the counters use the valuation sum
-    instead, and the tests hold the two equal.
-    """
-    dv = digit_vector(p, d)
-    total = 0
-    blocks = []
-    for i, e in reversed(dv.exponents()):
-        above = sum(ej * repunit(p, j) for j, ej in dv.exponents() if j > i)
-        contrib = e * p ** i * above + tower_block_exponent(p, i, e)
-        total += contrib
-        blocks.append((i, e, contrib))
-    return total, blocks
 
 
 def _null_count_exponent(n: int, p: int, d: int) -> int:
@@ -230,12 +138,7 @@ def count_null_le(n: int, p: int, d: int) -> CountResult:
     trace's case names the degree range of n: below p, below omega1 - 1,
     omega1 - 1, or omega1 and above.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if n < 0:
-        raise ValueError("degree bound must be >= 0")
+    _check_args(n, p, d)
     omega1 = omega1_prime_power(p, d)
     trace: list[tuple[str, object]] = [
         ("modulus", f"{p}^{d}"),
@@ -263,9 +166,9 @@ def count_null_le(n: int, p: int, d: int) -> CountResult:
 
 def count_monic(n: int, p: int, d: int) -> CountResult:
     """Number of monic null polynomials of degree exactly n mod p**d."""
+    omega1 = omega1_prime_power(p, d)
     if n < 0:
         raise ValueError("degree must be >= 0")
-    omega1 = omega1_prime_power(p, d)
     trace: list[tuple[str, object]] = [
         ("modulus", f"{p}^{d}"),
         ("least_monic_degree", omega1),

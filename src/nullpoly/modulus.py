@@ -100,11 +100,6 @@ def crt_combine_poly(parts: Sequence[tuple[Polynomial, PrimePower]]) -> Polynomi
     return Polynomial(coeffs)
 
 
-def is_null_composite(f: Polynomial, fm: FactoredModulus) -> bool:
-    """Null mod m iff null mod every prime-power factor."""
-    return all(oracle.is_null_binomial(f, pp.modulus) for pp in fm.factors)
-
-
 def omega1_composite(fm: FactoredModulus) -> int:
     """Least monic null-polynomial degree mod m: max over the factors.
 
@@ -138,6 +133,6 @@ def least_monic_null_composite(fm: FactoredModulus) -> Polynomial:
         h = h.shift(target - h.degree)
         parts.append((reduce_coeffs(h, pp.modulus), pp))
     combined = crt_combine_poly(parts)
-    if not is_null_composite(combined, fm):
+    if not oracle.is_null_binomial(combined, fm.modulus):
         raise AssertionError("combined polynomial failed the null oracle")
     return combined

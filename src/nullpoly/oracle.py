@@ -14,26 +14,15 @@ degree with its function, so f is null mod m iff its fold is 0: O(deg).
 Where the transform does run on a prime (null_order, and short folds in
 canonical_form), it runs on the fold: for k < m, k! is a unit mod m, so
 the fold's b_k are f's, and b_k for k >= m = mu(m) is never read.
-The definitional scan is_null_eval stays separate as the independent oracle.
+The definitional scan over all m residues is the independent oracle, and
+lives in the tests.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import product
 
 from .polys import Polynomial
 from .primes import is_prime
-
-
-def is_null_eval(f: Polynomial, m: int) -> bool:
-    """Definitional test: f(x) ≡ 0 (mod m) for x = 0..m-1.
-
-    The finite window suffices because x1 ≡ x2 (mod m) forces
-    f(x1) ≡ f(x2) (mod m).
-    """
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    return all(f.eval_mod(x, m) == 0 for x in range(m))
 
 
 def _fold(coeffs: Sequence[int], p: int) -> list[int]:
@@ -98,8 +87,19 @@ def null_order(f: Polynomial, p: int, d_max: int) -> int:
 
     One transform mod p**d_max: f is null mod p**d iff p**d divides every
     a_k, so the answer is min(d_max, min_k v_p(a_k mod p**d_max)).
+
+    d_max is first clamped to a cap the answer of a nonzero f never
+    reaches, so a huge d_max builds no huge power of p: some a_k, k <= deg,
+    is nonzero, and |a_k| <= 2**deg * sum|c_i| * deg**deg, since a_k is the
+    alternating binomial sum of f(0..k). So v_p(a_k) < deg +
+    (sum|c_i|).bit_length() + deg * deg.bit_length(). The zero polynomial
+    is null mod every p**d and answers max(d_max, 0) at once.
     """
-    order = max(d_max, 0)
+    if not f:
+        return max(d_max, 0)
+    deg = f.degree
+    cap = deg + sum(map(abs, f.coeffs)).bit_length() + deg * deg.bit_length()
+    order = max(min(d_max, cap), 0)
     m = unit = p ** order  # unit = p**order divides every a_k seen so far
     for a in _newton_coords(f.coeffs, m):
         if a % unit:  # then v_p(a) < order: count it from below
@@ -121,23 +121,4 @@ def null_witness(f: Polynomial, m: int) -> int | None:
     for x in range(min(m, len(f.coeffs))):
         if f.eval_mod(x, m) != 0:
             return x
-    return None
-
-
-def brute_least_monic_degree(m: int, degree_cap: int) -> int | None:
-    """Exhaustive search for the least degree of a monic null poly mod m.
-
-    Scans every monic coefficient vector in [0,m)**n for n = 1..degree_cap;
-    returns None when no monic null polynomial of degree <= degree_cap
-    exists. Cost is m**degree_cap, so the preconditions are enforced.
-    """
-    if m < 2 or m > 16:
-        raise ValueError("brute search requires 2 <= m <= 16")
-    if degree_cap < 1 or degree_cap > 6:
-        raise ValueError("brute search requires 1 <= degree_cap <= 6")
-    for n in range(1, degree_cap + 1):
-        for tail in product(range(m), repeat=n):
-            f = Polynomial(tail + (1,))
-            if all(f.eval_mod(x, m) == 0 for x in range(m)):
-                return n
     return None

@@ -8,7 +8,7 @@ a different thing and must stay distinguishable for the counting code).
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 
 class ParseError(ValueError):
@@ -34,18 +34,6 @@ class Polynomial:
 
     def __reduce__(self):
         return Polynomial, (self.coeffs,)
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def constant(cls, c: int) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> "Polynomial":
@@ -152,16 +140,6 @@ def reduce_coeffs(f: Polynomial, m: int) -> Polynomial:
     return Polynomial(tuple(c % m for c in f.coeffs))
 
 
-def poly_congruent(f: Polynomial, g: Polynomial, m: int) -> bool:
-    """Coefficient-wise congruence mod m (not the same as equal functions)."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    a, b = f.coeffs, g.coeffs
-    if len(a) < len(b):
-        a, b = b, a
-    return all((a[i] - (b[i] if i < len(b) else 0)) % m == 0 for i in range(len(a)))
-
-
 def deg_mod(f: Polynomial, m: int) -> int | None:
     """Largest k with coeffs[k] not ≡ 0 (mod m); None if f ≡ 0 mod m."""
     if m < 1:
@@ -170,39 +148,6 @@ def deg_mod(f: Polynomial, m: int) -> int | None:
         if f.coeffs[k] % m != 0:
             return k
     return None
-
-
-def is_monic_mod(f: Polynomial, m: int) -> bool:
-    d = deg_mod(f, m)
-    return d is not None and f.coeffs[d] % m == 1 % m
-
-
-def divmod_monic(f: Polynomial, g: Polynomial, m: int) -> tuple[Polynomial, Polynomial]:
-    """Long division of f by a g that is monic mod m, all arithmetic mod m.
-
-    Returns (q, r) with f ≡ g*q + r coefficient-wise mod m and
-    deg_mod(r, m) < deg_mod(g, m). Valid only because g's leading
-    coefficient is a unit (≡ 1); raises ValueError otherwise.
-    """
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    dg = deg_mod(g, m)
-    if dg is None:
-        raise ValueError("division by a polynomial that is zero mod m")
-    if g.coeffs[dg] % m != 1 % m:
-        raise ValueError("divisor is not monic mod m")
-    gred = [c % m for c in g.coeffs[: dg + 1]]
-    rem = [c % m for c in f.coeffs]
-    if len(rem) <= dg:
-        return Polynomial(()), Polynomial(rem)
-    quot = [0] * (len(rem) - dg)
-    for k in range(len(rem) - 1, dg - 1, -1):
-        c = rem[k]
-        if c:
-            quot[k - dg] = c
-            for i in range(dg + 1):
-                rem[k - dg + i] = (rem[k - dg + i] - c * gred[i]) % m
-    return Polynomial(quot), Polynomial(rem[:dg])
 
 
 _TERM_RE = re.compile(
@@ -285,21 +230,3 @@ def format_human(f: Polynomial) -> str:
             body = var if mag == 1 else f"{mag}{var}"
         parts.append(sign + body)
     return "".join(parts)
-
-
-def all_polynomials(m: int, max_degree: int) -> Iterator[Polynomial]:
-    """Every reduced polynomial of degree <= max_degree mod m, one per class."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    coeffs = [0] * (max_degree + 1)
-    while True:
-        yield Polynomial(coeffs)
-        i = 0
-        while i <= max_degree:
-            coeffs[i] += 1
-            if coeffs[i] < m:
-                break
-            coeffs[i] = 0
-            i += 1
-        else:
-            return

@@ -1,8 +1,18 @@
 """Shared brute-force helpers, independent oracles and strategies for the
-test suite."""
+test suite.
+
+The library answers each question one way, from falling-factorial
+coordinates. The paper's own formulas that no question needs (the layered
+enumeration theorem, the digit-block count, the scaled tower values) and
+the definitional brute-force checks live here, as the independent oracles
+the tests hold the library to.
+"""
+from itertools import product
+
 from hypothesis import strategies as st
 
-from nullpoly.polys import Polynomial, all_polynomials
+from nullpoly.construct import digit_vector, least_monic_null, repunit
+from nullpoly.polys import Polynomial, deg_mod, reduce_coeffs
 
 PRIMES_TO_200 = [p for p in range(2, 200) if all(p % k for k in range(2, p))]
 
@@ -11,14 +21,154 @@ def eval_vector(f: Polynomial, m: int) -> tuple[int, ...]:
     return tuple(f.eval_mod(x, m) for x in range(m))
 
 
+def is_null_eval(f: Polynomial, m: int) -> bool:
+    """Definitional test: f(x) ≡ 0 (mod m) for x = 0..m-1.
+
+    The finite window suffices because x1 ≡ x2 (mod m) forces
+    f(x1) ≡ f(x2) (mod m).
+    """
+    if m < 1:
+        raise ValueError("modulus must be >= 1")
+    return all(f.eval_mod(x, m) == 0 for x in range(m))
+
+
+def is_null_composite(f: Polynomial, fm) -> bool:
+    """Null mod m iff null mod every prime-power factor of the
+    FactoredModulus fm, each tested by definition."""
+    return all(is_null_eval(f, pp.modulus) for pp in fm.factors)
+
+
+def is_monic_mod(f: Polynomial, m: int) -> bool:
+    d = deg_mod(f, m)
+    return d is not None and f.coeffs[d] % m == 1 % m
+
+
 def brute_null_set(m: int, max_degree: int) -> set[Polynomial]:
     """All reduced null polynomials of degree <= max_degree mod m, by the
-    definitional evaluation test."""
-    out = set()
-    for f in all_polynomials(m, max_degree):
-        if all(f.eval_mod(x, m) == 0 for x in range(m)):
-            out.add(f)
+    definitional evaluation test over every coefficient vector."""
+    polys = (Polynomial(c) for c in product(range(m), repeat=max_degree + 1))
+    return {f for f in polys if is_null_eval(f, m)}
+
+
+def brute_least_monic_degree(m: int, degree_cap: int) -> int | None:
+    """Exhaustive search for the least degree of a monic null poly mod m.
+
+    Scans every monic coefficient vector in [0,m)**n for n = 1..degree_cap;
+    returns None when no monic null polynomial of degree <= degree_cap
+    exists. Cost is m**degree_cap, so the preconditions are enforced.
+    """
+    if m < 2 or m > 16:
+        raise ValueError("brute search requires 2 <= m <= 16")
+    if degree_cap < 1 or degree_cap > 6:
+        raise ValueError("brute search requires 1 <= degree_cap <= 6")
+    for n in range(1, degree_cap + 1):
+        for tail in product(range(m), repeat=n):
+            if is_null_eval(Polynomial(tail + (1,)), m):
+                return n
+    return None
+
+
+def divmod_monic(f: Polynomial, g: Polynomial, m: int) -> tuple[Polynomial, Polynomial]:
+    """Long division of f by a g that is monic mod m, all arithmetic mod m.
+
+    Returns (q, r) with f ≡ g*q + r coefficient-wise mod m and
+    deg_mod(r, m) < deg_mod(g, m). Valid only because g's leading
+    coefficient is a unit (≡ 1); raises ValueError otherwise.
+    """
+    dg = deg_mod(g, m)
+    if dg is None:
+        raise ValueError("division by a polynomial that is zero mod m")
+    if g.coeffs[dg] % m != 1 % m:
+        raise ValueError("divisor is not monic mod m")
+    gred = [c % m for c in g.coeffs[: dg + 1]]
+    rem = [c % m for c in f.coeffs]
+    if len(rem) <= dg:
+        return Polynomial(()), Polynomial(rem)
+    quot = [0] * (len(rem) - dg)
+    for k in range(len(rem) - 1, dg - 1, -1):
+        c = rem[k]
+        if c:
+            quot[k - dg] = c
+            for i in range(dg + 1):
+                rem[k - dg + i] = (rem[k - dg + i] - c * gred[i]) % m
+    return Polynomial(quot), Polynomial(rem[:dg])
+
+
+def scaled_tower_value(p: int, n: int, x: int) -> int:
+    """Value at x of tower level n divided by p**repunit(p, n) (the paper's
+    base-null-polynomial feature), by the value recursion
+    v -> (prod_{i<p} (v - i)) / p, never expanding rational polynomials;
+    each division is exact because one of p consecutive shifts of an
+    integer is divisible by p."""
+    v = x
+    for _ in range(n):
+        acc = 1
+        for i in range(p):
+            acc *= v - i
+        if acc % p:
+            raise AssertionError("inexact division in tower value recursion")
+        v = acc // p
+    return v
+
+
+def paper_layers(p: int, d: int) -> list[tuple[int, Polynomial, int | None]]:
+    """The layers (j, B_j, bound) of the paper's decomposition of the null
+    polynomials mod p**d, top level first:
+
+        f = sum_j p**(d-j) * B_j * q_j  (mod p**d),
+
+    B_j the least monic null polynomial mod p**j, the coefficients of q_j
+    mattering mod p**j, q_d of free degree (bound None) and deg q_j < p
+    below. A level j < d whose digit vector has a digit p is left out: B_j
+    then has the degree of B_(j+1), and its layer adds nothing new."""
+    return [(j, least_monic_null(p, j), None if j == d else p)
+            for j in range(d, 0, -1) if j == d or p not in digit_vector(p, j)]
+
+
+def paper_null_set(p: int, d: int, n: int) -> set[Polynomial]:
+    """Every null polynomial of degree <= n mod p**d, reduced, built as the
+    paper's enumeration theorem writes it: the sums over paper_layers of
+    p**(d-j) * B_j * q_j with deg(B_j * q_j) <= n."""
+    pd = p ** d
+    out = {Polynomial(())}
+    for j, b, bound in paper_layers(p, d):
+        width = n - b.degree + 1
+        for k in range(width if bound is None else min(width, bound)):
+            term = b.shift(k) * p ** (d - j)
+            out = {reduce_coeffs(f + term * c, pd) for f in out for c in range(p ** j)}
     return out
+
+
+def tower_threshold_exponent(p: int, n: int) -> int:
+    """log_p of the number of null polynomials of degree < p**n mod
+    p**repunit(p, n): the closed form p**n * (repunit(p, n) - n) / 2."""
+    num = p ** n * (repunit(p, n) - n)
+    if num % 2:
+        raise AssertionError(f"odd tower threshold numerator for p={p}, n={n}")
+    return num // 2
+
+
+def threshold_count_exponent(p: int, d: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """log_p of the count of null polynomials of degree < omega1 mod p**d,
+    by the paper's digit-block formula.
+
+    Digit e at index i contributes its block exponent
+    e*(e-1)*p**i*repunit(p, i)/2 + e*tower_threshold_exponent(p, i), plus
+    e * p**i times the value carried by the digits above it,
+    sum_{j>i} e_j * repunit(p, j). Returns
+    (exponent, [(index, digit, contribution), ...] descending).
+    """
+    digits = digit_vector(p, d)
+    total, blocks, above = 0, [], 0
+    for i in range(len(digits), 0, -1):
+        e = digits[i - 1]
+        if e:
+            block = e * (e - 1) * p ** i * repunit(p, i) // 2 + e * tower_threshold_exponent(p, i)
+            contrib = e * p ** i * above + block
+            total += contrib
+            blocks.append((i, e, contrib))
+            above += e * repunit(p, i)
+    return total, blocks
 
 
 def equivalent_eval(f: Polynomial, g: Polynomial, m: int) -> bool:

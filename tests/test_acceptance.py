@@ -6,32 +6,21 @@ lines and timings.
 import time
 from contextlib import contextmanager
 
-from conftest import brute_null_set, kempner_mu_scan
-from nullpoly.construct import (
-    build_tower,
-    falling_factorial,
-    least_monic_null,
-    omega1_prime_power,
+from conftest import (
+    brute_least_monic_degree,
+    brute_null_set,
+    is_monic_mod,
+    is_null_composite,
+    is_null_eval,
+    kempner_mu_scan,
     scaled_tower_value,
-)
-from nullpoly.counting import (
-    count_monic,
-    count_null_le,
-    enumerate_null,
     tower_threshold_exponent,
 )
-from nullpoly.modulus import (
-    factor,
-    is_null_composite,
-    least_monic_null_composite,
-    omega1_composite,
-)
-from nullpoly.oracle import (
-    brute_least_monic_degree,
-    is_null_binomial,
-    is_null_eval,
-)
-from nullpoly.polys import Polynomial, is_monic_mod, parse_polynomial
+from nullpoly.construct import kempner_basis, least_monic_null, omega1_prime_power
+from nullpoly.counting import count_monic, count_null_le, enumerate_null
+from nullpoly.modulus import factor, least_monic_null_composite, omega1_composite
+from nullpoly.oracle import is_null_binomial
+from nullpoly.polys import Polynomial, parse_polynomial
 from nullpoly import cli
 
 
@@ -61,7 +50,7 @@ def test_criterion_01_worked_example_p2(capsys):
 
 def test_criterion_02_worked_example_p3():
     base = parse_polynomial("x^3-3x^2+2x")
-    falling_factorial(3)
+    kempner_basis(3)
     with criterion(2, "(x^3-3x^2+2x)^3 + 18(x^3-3x^2+2x) is null mod 3^4, omega1=9", 0.010):
         g = base ** 3 + 18 * base
         assert is_null_binomial(g, 81)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     PRIMES_TO_200,
+    divmod_monic,
     equivalent_eval,
     eval_vector,
     kempner_mu_scan,
@@ -24,7 +25,7 @@ from nullpoly.canonical import (
 )
 from nullpoly.construct import kempner_basis, kempner_mu, least_monic_null
 from nullpoly.oracle import _fold
-from nullpoly.polys import Polynomial, deg_mod, divmod_monic, parse_polynomial, reduce_coeffs
+from nullpoly.polys import Polynomial, deg_mod, parse_polynomial, reduce_coeffs
 
 X = Polynomial((0, 1))
 

@@ -132,6 +132,13 @@ def test_order_command(capsys):
     assert payload["result"] == {"order": 1, "capped": False}
 
 
+def test_order_answers_a_huge_max_at_once(capsys):
+    start = time.perf_counter()
+    payload = run_json(capsys, "order", "x^3-x", "3", "--max", "1000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert payload["result"] == {"order": 1, "capped": False}
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "check-null", "x^+oops", "8")
     assert code == 2 and "error:" in err

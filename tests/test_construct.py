@@ -2,45 +2,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kempner_mu_scan
+from conftest import is_null_eval, kempner_mu_scan, scaled_tower_value
 from nullpoly.construct import (
     build_tower,
     digit_vector,
-    falling_factorial,
     kempner_basis,
     kempner_mu,
     least_monic_null,
-    offset_product,
-    omega0_prime_power,
     omega1_prime_power,
     repunit,
-    scaled_tower_value,
 )
-from nullpoly.oracle import is_null_binomial, is_null_eval
-from nullpoly.polys import Polynomial, parse_polynomial, poly_congruent, reduce_coeffs
+from nullpoly.modulus import factor, omega0_composite
+from nullpoly.oracle import is_null_binomial
+from nullpoly.polys import Polynomial, parse_polynomial, reduce_coeffs
 
 X = Polynomial((0, 1))
 
 
-def test_offset_product_examples():
-    assert offset_product(5, 0) == 24
-    assert offset_product(2, 4) == 3
-    assert offset_product(3, 7) == 35
-
-
-def test_offset_product_always_minus_one_mod_p():
-    for p in (2, 3, 5, 7, 11):
-        for x in range(-10, 3 * p):
-            assert offset_product(p, x) % p == p - 1
-
-
 def test_falling_factorial_examples():
-    assert falling_factorial(2) == Polynomial((0, -1, 1))
-    assert falling_factorial(3) == parse_polynomial("x^3-3x^2+2x")
+    # for a prime p, kempner_basis(p) is the falling factorial x(x-1)...(x-p+1)
+    assert kempner_basis(2) == Polynomial((0, -1, 1))
+    assert kempner_basis(3) == parse_polynomial("x^3-3x^2+2x")
     # congruent to x^p - x coefficient-wise mod p
     for p in (2, 3, 5, 7):
         xp_minus_x = Polynomial.monomial(p) - X
-        assert poly_congruent(falling_factorial(p), xp_minus_x, p)
+        assert not reduce_coeffs(kempner_basis(p) - xp_minus_x, p)
 
 
 def test_repunit_values():
@@ -51,28 +37,27 @@ def test_repunit_values():
 
 
 def test_tower_small_levels():
-    t2 = build_tower(2, 2)
-    assert t2.level(1) == Polynomial((0, -1, 1))
-    assert t2.level(2) == Polynomial((0, 2, -1, -2, 1))  # (x^2-x)(x^2-x-2)
-    assert build_tower(3, 1).level(1) == falling_factorial(3)
+    assert build_tower(2, 2) == (
+        Polynomial((0, -1, 1)),
+        Polynomial((0, 2, -1, -2, 1)),  # (x^2-x)(x^2-x-2)
+    )
+    assert build_tower(3, 1) == (kempner_basis(3),)
 
 
 def test_tower_degrees_and_monic():
     for p, nmax in [(2, 4), (3, 3), (5, 2)]:
-        t = build_tower(p, nmax, verify=False)
-        for k in range(1, nmax + 1):
-            g = t.level(k)
+        t = build_tower(p, nmax)
+        assert len(t) == nmax
+        for k, g in enumerate(t, 1):
             assert g.degree == p ** k
             assert g.coeffs[-1] == 1
 
 
 def test_tower_levels_are_null_to_exact_order():
-    # null mod p**repunit(p,n) (build_tower verifies the window itself),
-    # and NOT null mod the next power of p: witness x = p**n
+    # null mod p**repunit(p,n), and NOT null mod the next power of p:
+    # witness x = p**n
     for p in (2, 3):
-        t = build_tower(p, 3)
-        for n in range(1, 4):
-            g = t.level(n)
+        for n, g in enumerate(build_tower(p, 3), 1):
             order = p ** repunit(p, n)
             assert is_null_binomial(g, order)
             assert not is_null_binomial(g, order * p)
@@ -81,11 +66,10 @@ def test_tower_levels_are_null_to_exact_order():
 
 def test_tower_matches_value_recursion():
     for p in (2, 3):
-        t = build_tower(p, 3, verify=False)
-        for n in range(1, 4):
+        for n, g in enumerate(build_tower(p, 3), 1):
             scale = p ** repunit(p, n)
             for x in range(-5, p ** n + 5):
-                assert t.level(n)(x) == scale * scaled_tower_value(p, n, x)
+                assert g(x) == scale * scaled_tower_value(p, n, x)
 
 
 def test_scaled_tower_value_base_cases():
@@ -120,26 +104,26 @@ def test_scaled_tower_periodicity():
 
 
 def test_digit_vector_examples():
-    assert digit_vector(2, 3).digits == (0, 1)
-    assert digit_vector(2, 2).digits == (2,)
-    assert digit_vector(3, 3).digits == (3,)
-    assert digit_vector(3, 9).digits == (1, 2)
-    assert digit_vector(2, 9).digits == (2, 0, 1)
+    assert digit_vector(2, 3) == (0, 1)
+    assert digit_vector(2, 2) == (2,)
+    assert digit_vector(3, 3) == (3,)
+    assert digit_vector(3, 9) == (1, 2)
+    assert digit_vector(2, 9) == (2, 0, 1)
 
 
 def test_digit_vector_closed_form_correction():
     # d*(p-1)+1 an exact power of p is where the log closed form breaks;
     # the iterated search must still pick the larger index
-    assert len(digit_vector(2, 3).digits) == 2
-    assert len(digit_vector(3, 4).digits) == 2
-    assert len(digit_vector(2, 7).digits) == 3
+    assert len(digit_vector(2, 3)) == 2
+    assert len(digit_vector(3, 4)) == 2
+    assert len(digit_vector(2, 7)) == 3
 
 
 def test_digit_identity_wide():
     for p in (2, 3, 5, 7):
         for d in range(1, 200):
-            dv = digit_vector(p, d)
-            assert sum(e * repunit(p, i) for i, e in dv.exponents()) == d
+            digits = digit_vector(p, d)
+            assert sum(e * repunit(p, i) for i, e in enumerate(digits, 1)) == d
 
 
 def _recursion_digits(p: int, d: int) -> tuple[int, ...]:
@@ -164,18 +148,18 @@ def _recursion_digits(p: int, d: int) -> tuple[int, ...]:
 def test_digit_vector_matches_recursion():
     for p in (2, 3, 5, 7):
         for d in range(1, 61):
-            assert digit_vector(p, d).digits == _recursion_digits(p, d)
+            assert digit_vector(p, d) == _recursion_digits(p, d)
 
 
 def test_least_monic_null_matches_recursion_polynomials():
     for p, dmax in [(2, 50), (3, 30), (5, 15)]:
-        tower_cache = build_tower(p, len(digit_vector(p, dmax).digits), verify=False)
+        tower = build_tower(p, len(digit_vector(p, dmax)))
         for d in range(1, dmax + 1):
             digits = _recursion_digits(p, d)
             h = Polynomial((1,))
             for i, e in enumerate(digits):
                 if e:
-                    h = h * tower_cache.level(i + 1) ** e
+                    h = h * tower[i] ** e
             assert h == least_monic_null(p, d)
 
 
@@ -231,8 +215,8 @@ def test_omega1_step_lemma():
 
 
 def test_omega0():
-    assert omega0_prime_power(2, 5) == 2
-    assert omega0_prime_power(7, 1) == 7
+    assert omega0_composite(factor(2 ** 5)) == 2
+    assert omega0_composite(factor(7)) == 7
     # witness: p^(d-1) * (x^p - x) is null mod p^d
     p, d = 3, 3
     witness = p ** (d - 1) * (Polynomial.monomial(p) - X)
@@ -249,7 +233,7 @@ def test_only_monic_null_of_degree_p_mod_p():
             for tail in product(range(p), repeat=p):
                 f = Polynomial(tail + (lead,))
                 if is_null_eval(f, p):
-                    assert poly_congruent(f, lead * xpx, p)
+                    assert reduce_coeffs(f, p) == reduce_coeffs(lead * xpx, p)
 
 
 def test_kempner_mu_examples():
@@ -275,7 +259,7 @@ def test_kempner_basis_examples():
     assert is_null_eval(k8, 8)
     assert kempner_basis(4) == k8
     for p in (3, 5):
-        assert kempner_basis(p) == falling_factorial(p)
+        assert kempner_basis(p) == build_tower(p, 1)[0]
 
 
 def _kempner_null_mod(m: int) -> bool:

@@ -4,21 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_null_set
-from nullpoly.construct import digit_vector, least_monic_null, omega1_prime_power
+from conftest import (
+    brute_null_set,
+    is_null_eval,
+    paper_layers,
+    paper_null_set,
+    threshold_count_exponent,
+    tower_threshold_exponent,
+)
+from nullpoly.construct import least_monic_null, omega1_prime_power, repunit
 from nullpoly.counting import (
     _null_count_exponent,
-    _tower_threshold_exponent_recursive,
     count_monic,
     count_monic_le,
     count_null_le,
     enumerate_null,
-    null_basis,
-    threshold_count_exponent,
-    tower_block_exponent,
-    tower_threshold_exponent,
 )
-from nullpoly.oracle import is_null_binomial, is_null_eval
+from nullpoly.oracle import is_null_binomial
 from nullpoly.polys import Polynomial, deg_mod, parse_polynomial
 from nullpoly.primes import is_prime
 
@@ -26,36 +28,47 @@ PRIMES_TO_50 = [p for p in range(2, 51) if is_prime(p)]
 
 
 def test_null_basis_layers_p2_d3():
-    nb = null_basis(2, 3)
-    assert [l.level for l in nb.layers] == [3, 2, 1]
-    top, mid, bottom = nb.layers
-    assert top.multiplier == 1 and top.free and not top.skipped
-    assert top.poly == least_monic_null(2, 3)
-    assert mid.skipped and mid.multiplier == 2          # its digit saturates
-    assert bottom.multiplier == 4 and bottom.q_degree_bound == 2
-    assert not bottom.skipped
+    # the paper's layers mod 2^3: level 2 is left out, its digit saturates
+    layers = paper_layers(2, 3)
+    assert [j for j, _, _ in layers] == [3, 1]
+    (_, top, top_bound), (_, _, bottom_bound) = layers
+    assert top == least_monic_null(2, 3) and top_bound is None
+    assert bottom_bound == 2
 
 
 def test_null_basis_layers_p3_d2():
-    nb = null_basis(3, 2)
-    assert nb.layers[0].free and nb.layers[0].poly.degree == 6
-    assert nb.layers[1].multiplier == 3 and nb.layers[1].poly.degree == 3
-    assert not any(l.skipped for l in nb.layers)
+    (top_level, top, top_bound), (level, b, bound) = paper_layers(3, 2)
+    assert (top_level, top.degree, top_bound) == (2, 6, None)
+    assert (level, b.degree, bound) == (1, 3, 3)
 
 
 def test_null_basis_single_free_layer():
-    nb = null_basis(2, 1)
-    assert len(nb.layers) == 1
-    assert nb.layers[0].free and nb.layers[0].multiplier == 1
+    assert [(j, bound) for j, _, bound in paper_layers(2, 1)] == [(1, None)]
 
 
 def test_null_basis_kept_layers_are_monic_null():
     for p, d in [(2, 4), (2, 6), (3, 3), (5, 2)]:
-        for layer in null_basis(p, d).layers:
-            if layer.skipped:
-                continue
-            assert layer.poly.coeffs[-1] == 1
-            assert is_null_binomial(layer.poly, p ** layer.level)
+        for j, b, _ in paper_layers(p, d):
+            assert b.coeffs[-1] == 1
+            assert is_null_binomial(b, p ** j)
+
+
+def test_enumerate_equals_the_papers_layered_null_set():
+    # the falling-factorial odometer against the paper's enumeration
+    # theorem, including moduli where a layer is left out (2^3, 2^4, 3^4)
+    for p, d, nmax in [(2, 1, 7), (2, 2, 7), (2, 3, 7), (2, 4, 7), (3, 1, 7), (3, 2, 7),
+                       (3, 3, 8), (3, 4, 8), (5, 1, 9), (5, 2, 9), (5, 3, 9), (5, 4, 9)]:
+        for n in range(nmax + 1):
+            assert set(enumerate_null(p, d, n)) == paper_null_set(p, d, n), (p, d, n)
+
+
+def test_enumerate_rejects_what_count_rejects():
+    for n, p, d in [(3, 4, 2), (3, 2, 0), (-1, 2, 3)]:
+        with pytest.raises(ValueError) as counted:
+            count_null_le(n, p, d)
+        with pytest.raises(ValueError) as enumerated:
+            list(enumerate_null(p, d, n))
+        assert str(enumerated.value) == str(counted.value)
 
 
 def test_enumerate_examples():
@@ -89,14 +102,12 @@ def _layer_count_exponent(n: int, p: int, d: int) -> int:
     # independent route: product of per-layer coefficient boxes, each box
     # clipped by the degree budget
     total = 0
-    for layer in null_basis(p, d).layers:
-        if layer.skipped:
-            continue
-        ncoeffs = n - layer.poly.degree + 1
-        if not layer.free:
-            ncoeffs = min(ncoeffs, p)
+    for j, b, bound in paper_layers(p, d):
+        ncoeffs = n - b.degree + 1
+        if bound is not None:
+            ncoeffs = min(ncoeffs, bound)
         if ncoeffs > 0:
-            total += layer.level * ncoeffs
+            total += j * ncoeffs
     return total
 
 
@@ -189,18 +200,8 @@ def test_tower_threshold_exponent_examples():
     assert tower_threshold_exponent(2, 1) == 0
 
 
-def test_tower_threshold_recursion_matches_closed_form():
-    for p in (2, 3, 5):
-        for n in range(1, 6):
-            closed = tower_threshold_exponent(p, n)
-            assert closed == _tower_threshold_exponent_recursive(p, n)
-            assert p ** n * (((p ** n - 1) // (p - 1)) - n) % 2 == 0
-
-
 def test_tower_threshold_is_count_at_tower_moduli():
     # at d = repunit(p, n) the threshold count is exactly p ** Ntilde
-    from nullpoly.construct import repunit
-
     for p in (2, 3):
         for n in (1, 2, 3):
             d = repunit(p, n)
@@ -211,11 +212,11 @@ def test_tower_threshold_is_count_at_tower_moduli():
 
 
 def test_tower_block_exponent_identities():
+    # a lone saturated digit p at index n is the tower threshold at n + 1
     for p in (2, 3):
         for n in (1, 2, 3):
-            assert tower_block_exponent(p, n, 0) == 0
-            assert tower_block_exponent(p, n, 1) == tower_threshold_exponent(p, n)
-            assert tower_block_exponent(p, n, p) == tower_threshold_exponent(p, n + 1)
+            top = tower_threshold_exponent(p, n + 1)
+            assert threshold_count_exponent(p, p * repunit(p, n)) == (top, [(n, p, top)])
 
 
 def test_threshold_count_brute_force():

@@ -7,20 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_null_set, kempner_mu_scan, trial_factorization
+from conftest import (
+    brute_least_monic_degree,
+    is_monic_mod,
+    is_null_eval,
+    kempner_mu_scan,
+    trial_factorization,
+)
 from nullpoly.construct import kempner_mu, least_monic_null
 from nullpoly.modulus import (
     FactoredModulus,
     PrimePower,
     crt_combine_poly,
     factor,
-    is_null_composite,
     least_monic_null_composite,
     omega0_composite,
     omega1_composite,
 )
-from nullpoly.oracle import is_null_eval
-from nullpoly.polys import Polynomial, deg_mod, is_monic_mod, parse_polynomial, poly_congruent, reduce_coeffs
+from nullpoly.oracle import is_null_binomial
+from nullpoly.polys import Polynomial, deg_mod, parse_polynomial, reduce_coeffs
 from nullpoly.primes import _RHO_BUDGET, is_prime, prime_factorization
 
 
@@ -75,7 +80,7 @@ def test_crt_combine_poly_example():
     c = crt_combine_poly(parts)
     assert c == parse_polynomial("4x^3+3x^2+5x")
     for f, pp in parts:
-        assert poly_congruent(c, f, pp.modulus)
+        assert not reduce_coeffs(c - f, pp.modulus)
 
 
 def test_crt_single_part_and_uniformity():
@@ -106,13 +111,14 @@ def test_crt_congruent_to_each_part_sweep():
         c = crt_combine_poly(parts)
         assert all(cf < m for cf in c.coeffs)
         for f, pp in parts:
-            assert poly_congruent(c, f, pp.modulus)
+            assert not reduce_coeffs(c - f, pp.modulus)
 
 
+# is_null_binomial answers a composite modulus directly
 def test_is_null_composite_examples():
-    assert is_null_composite(parse_polynomial("x^3-x"), factor(6))
-    assert not is_null_composite(parse_polynomial("x^2-x"), factor(6))
-    assert is_null_composite(Polynomial(()), factor(360))
+    assert is_null_binomial(parse_polynomial("x^3-x"), 6)
+    assert not is_null_binomial(parse_polynomial("x^2-x"), 6)
+    assert is_null_binomial(Polynomial(()), 360)
 
 
 def test_is_null_composite_agrees_with_direct_evaluation():
@@ -121,12 +127,12 @@ def test_is_null_composite_agrees_with_direct_evaluation():
         fm = factor(m)
         for _ in range(200):
             f = Polynomial([rng.randrange(-m, m) for _ in range(rng.randrange(0, 9))])
-            assert is_null_composite(f, fm) == all(
+            assert is_null_binomial(f, m) == all(
                 f.eval_mod(x, m) == 0 for x in range(m)
             )
         # a structured null polynomial, so the True branch is exercised too
         h = least_monic_null_composite(fm)
-        assert is_null_composite(h, fm)
+        assert is_null_binomial(h, m)
         assert all(h.eval_mod(x, m) == 0 for x in range(m))
 
 
@@ -179,7 +185,7 @@ def test_least_monic_null_composite_examples():
     assert is_null_eval(parse_polynomial("x^3-x"), 6)  # the classical witness
     # prime modulus: CRT normal form of the falling factorial
     h5 = least_monic_null_composite(factor(5))
-    assert poly_congruent(h5, Polynomial((0, -1, 0, 0, 0, 1)), 5)  # x^5 - x
+    assert h5 == reduce_coeffs(Polynomial((0, -1, 0, 0, 0, 1)), 5)  # x^5 - x
     h4 = least_monic_null_composite(factor(4))
     assert h4 == reduce_coeffs(least_monic_null(2, 2), 4)
 
@@ -195,8 +201,6 @@ def test_least_monic_null_composite_minimality():
 
 def test_least_monic_null_composite_matches_brute_sets():
     # degree agrees with the exhaustively found least monic null degree
-    from nullpoly.oracle import brute_least_monic_degree
-
     for m in (6, 10, 12):
         assert least_monic_null_composite(factor(m)).degree == brute_least_monic_degree(m, 6)
 

@@ -1,19 +1,21 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PRIMES_TO_200, equivalent_eval, from_falling, newton_coefficients
-from nullpoly.construct import falling_factorial, kempner_basis, kempner_mu, least_monic_null
-from nullpoly.oracle import (
+from conftest import (
+    PRIMES_TO_200,
     brute_least_monic_degree,
-    is_null_binomial,
+    equivalent_eval,
+    from_falling,
     is_null_eval,
-    null_order,
-    null_witness,
+    newton_coefficients,
 )
+from nullpoly.construct import kempner_basis, kempner_mu, least_monic_null
+from nullpoly.oracle import is_null_binomial, null_order, null_witness
 from nullpoly.polys import Polynomial, parse_polynomial
 
 X = Polynomial((0, 1))
@@ -79,6 +81,16 @@ def test_null_order_examples():
     assert null_order(X, 2, 5) == 0
 
 
+def test_null_order_clamps_a_huge_d_max():
+    # without the clamp this builds 3**(10**12)
+    start = time.perf_counter()
+    assert null_order(parse_polynomial("x^3-x"), 3, 10 ** 12) == 1
+    assert null_order(Polynomial(()), 3, 10 ** 12) == 10 ** 12
+    assert null_order(Polynomial(()), 3, -2) == 0
+    assert null_order(Polynomial((2 ** 40,)), 2, 10 ** 12) == 40
+    assert time.perf_counter() - start < 1.0
+
+
 def test_equivalent_eval_examples():
     assert equivalent_eval(Polynomial((0, 0, 0, 1)), X, 3)  # x^3 ~ x mod 3
     assert not equivalent_eval(Polynomial((0, 0, 1)), X, 4)
@@ -128,7 +140,7 @@ def test_brute_least_monic_degree_guards():
 
 def test_falling_factorial_is_least_null_for_prime():
     for p in (2, 3, 5):
-        assert null_order(falling_factorial(p), p, 3) >= 1
+        assert null_order(kempner_basis(p), p, 3) >= 1
         assert brute_least_monic_degree(p, min(p, 6)) == p
 
 
@@ -165,6 +177,26 @@ def test_null_order_matches_linear_ascent(p, d_max, data):
     while ascent < d_max and is_null_eval(f, p ** (ascent + 1)):
         ascent += 1
     assert null_order(f, p, d_max) == ascent
+
+
+def _vp(a: int, p: int) -> int:
+    v = 0
+    while a % p == 0:
+        a, v = a // p, v + 1
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 10 ** 6), st.data())
+def test_null_order_is_the_least_valuation_of_the_newton_coordinates(p, d_max, data):
+    # exact Newton coordinates need no power of p, so they check the clamp
+    # of d_max at any size, on tower multiples and p-power-scaled inputs
+    f, _ = data.draw(_mostly_null(st.sampled_from([p, p ** 3, p ** 6]), 12))
+    if data.draw(st.booleans()):
+        f = f * least_monic_null(p, data.draw(st.integers(1, 6)))
+    f = f * p ** data.draw(st.integers(0, 30))
+    valuations = [_vp(a, p) for a in newton_coefficients(f) if a]
+    assert null_order(f, p, d_max) == min([d_max] + valuations)
 
 
 @st.composite

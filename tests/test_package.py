@@ -1,0 +1,59 @@
+"""The package's public surface, and the rule that result checks in src/
+survive ``python -O``."""
+import ast
+import re
+from pathlib import Path
+
+import nullpoly
+
+ROOT = Path(__file__).resolve().parents[1]
+
+KEPT = [
+    "CanonicalForm",
+    "CountResult",
+    "ParseError",
+    "Polynomial",
+    "PrimePower",
+    "build_tower",
+    "canonical_form",
+    "count_monic",
+    "count_monic_le",
+    "count_null_le",
+    "crt_combine_poly",
+    "digit_vector",
+    "enumerate_null",
+    "equivalent",
+    "factor",
+    "is_null_binomial",
+    "kempner_basis",
+    "kempner_mu",
+    "least_monic_null",
+    "least_monic_null_composite",
+    "null_order",
+    "omega0_composite",
+    "omega1_composite",
+    "parse_polynomial",
+    "reduce_degree",
+]
+
+
+def test_public_surface_is_the_kept_list():
+    assert nullpoly.__all__ == KEPT
+    for name in KEPT:
+        assert getattr(nullpoly, name) is not None
+
+
+def test_every_name_the_bench_worker_calls_is_public():
+    called = set(re.findall(r"\bnp\.(\w+)", (ROOT / "bench" / "worker.py").read_text()))
+    assert len(called) == 15
+    assert called <= set(nullpoly.__all__)
+
+
+def test_src_has_no_bare_assert():
+    # python -O strips assert statements; result checks must raise instead
+    found = []
+    for path in sorted((ROOT / "src" / "nullpoly").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -4,22 +4,17 @@ import pickle
 import pytest
 
 from nullpoly.canonical import canonical_form
-from nullpoly.construct import DigitVector, digit_vector
-from nullpoly.counting import count_monic_le, count_null_le, null_basis
+from nullpoly.counting import count_monic_le, count_null_le
 from nullpoly.modulus import FactoredModulus, PrimePower, factor
 from nullpoly.polys import Polynomial
 
 
 def _records():
-    basis = null_basis(3, 4)
     return [
         Polynomial([1, 2]),
         Polynomial(()),
-        digit_vector(3, 17),
         PrimePower(7, 2),
         factor(360),
-        basis,
-        basis.layers[0],
         count_null_le(10, 3, 2),
         count_monic_le(12, 2, 5),
         canonical_form(Polynomial([1, 0, 1]), 8),
@@ -62,5 +57,3 @@ def test_records_keep_their_validation():
         PrimePower(2, 0)
     with pytest.raises(ValueError):
         FactoredModulus(())
-    with pytest.raises(AssertionError):
-        DigitVector(2, 3, (1, 1))  # 1*1 + 1*3 != 3
