@@ -16,7 +16,6 @@ from .polys import (
     reduce_coeffs,
 )
 
-_EXPAND_LIMIT = 10 ** 40
 _MU_LIMIT = 10 ** 5  # longest canonical form (mu(m) entries) reduce and equiv print
 
 
@@ -47,12 +46,6 @@ def _vp_factorial(p: int, t: int) -> int:
         v += t // q
         q *= p
     return v
-
-
-def _count_str(value: int, p: int, exp: int | None) -> str:
-    if exp is not None and value >= _EXPAND_LIMIT:
-        return f"{p}^{exp}"
-    return str(value)
 
 
 def _cmd_omega(args, out):
@@ -222,14 +215,15 @@ def _cmd_count(args, out):
         if got != res.value:
             raise AssertionError(f"count {res.value} != enumerated {got}")
         verified = True
-    out.text(f"{label} = {_count_str(res.value, p, res.p_exponent)}")
+    shown = res.trace[-1][1]  # the value, or its formula once it is too long to print
+    out.text(f"{label} = {shown}")
     for tag, val in res.trace:
         out.text(f"  {tag} = {val}")
     out.result(
         inputs={"n": n, "p": p, "d": d, "monic": args.monic},
         result={
-            "count": res.value if res.value < _EXPAND_LIMIT else None,
-            "count_str": _count_str(res.value, p, res.p_exponent),
+            "count": shown if isinstance(shown, int) else None,
+            "count_str": str(shown),
             "p_exponent": res.p_exponent,
         },
         trace=[[tag, str(val)] for tag, val in res.trace],

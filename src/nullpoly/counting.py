@@ -1,26 +1,34 @@
-"""Enumerate and count null polynomials of bounded degree mod p**d.
+"""Count and enumerate null polynomials of bounded degree mod p**d.
 
 Write f = sum_k b_k * x(x-1)...(x-k+1). f is null mod p**d iff
 p**(d - e_k) divides b_k for every k, where e_k = min(d, v_p(k!)): the
 term's values are k! * b_k * C(x, k), and the Newton coordinate k! * b_k
 is a Z-combination of f(0..k) (Singmaster 1974; Keller and Olson 1968).
-The falling factorials are monic, so f mod p**d fixes every b_k mod p**d,
-and the null polynomials of degree <= n mod p**d are the sums
+The falling factorials are monic, so the null polynomials of degree <= n
+mod p**d are the sums
 
     sum_{k<=n} c_k * p**(d - e_k) * x(x-1)...(x-k+1)  (mod p**d),
     0 <= c_k < p**e_k,
 
-each exactly once. Counting reads the size of that box: p**E with
-E(n, p, d) = sum_{k<=n} e_k, in O(log_p n). enumerate_null walks it as a
-mixed-radix odometer with one row p**(d - e_k) * x(x-1)...(x-k+1) mod p**d
-and radix p**e_k per k with e_k > 0.
+each exactly once. enumerate_null walks that box as a mixed-radix
+odometer. Every count is one formula in the box's log_p size,
+E(n) = sum_{k<=n} min(d, v_p(k!)), found in O(log_p n):
+
+    count_null_le(n)  = p**E(n);
+    count_monic(n)    = 0 below omega1, else p**E(n - 1);
+    count_monic_le(n) = 0 below omega1, else
+                        p**E(omega1 - 1) * (p**A - 1) / (p**d - 1),
+                        A = d * (n - omega1 + 1).
+
+Each trace is the modulus, omega1, the formula's rows, then the count.
+A count or factor from _DISPLAY_LIMIT on is shown as its formula (p^E,
+(p^A-1)/(p^d-1) or p^E*(p^A-1)/(p^d-1)), never as its digits; the CLI
+prints that last row as its answer.
 
 The paper's own route to both answers, a sum of layers p**(d-j) * B_j * q_j
 over the least monic null polynomials B_j mod p**j (its enumeration
 theorem) and the digit-block count below omega1, lives in the tests
-(tests/conftest.py) as the independent oracle for this one: it needs the
-tower and the digit vector, and the falling-factorial identity already
-answers count and enumeration from one formula.
+(tests/conftest.py) as the independent oracle for this one.
 """
 from __future__ import annotations
 
@@ -31,8 +39,9 @@ from .construct import omega1_prime_power
 from .polys import Polynomial
 from .primes import is_prime
 
-# Traces abbreviate p**E from this E on, so str() stays cheap and legal.
-_TRACE_EXPONENT_LIMIT = 256
+# Counts and factors from this value on are shown as their formula, so no
+# trace or CLI line converts an integer of thousands of digits to decimal.
+_DISPLAY_LIMIT = 10 ** 40
 
 
 class CountResult(Record):
@@ -128,93 +137,54 @@ def _null_count_exponent(n: int, p: int, d: int) -> int:
     return total
 
 
-def count_null_le(n: int, p: int, d: int) -> CountResult:
-    """Number of null polynomials of degree <= n mod p**d (zero poly included).
+def _shown(value: int, formula: str) -> int | str:
+    return value if value < _DISPLAY_LIMIT else formula
 
-    The count is p**E with E = sum_{k<=n} min(d, v_p(k!)): the k-th Newton
-    coordinate of a null polynomial is a multiple of k! that matters mod
-    p**d, leaving p**min(d, v_p(k!)) choices (Singmaster 1974; Keller and
-    Olson 1968). E is computed in O(log_p n) by _null_count_exponent. The
-    trace's case names the degree range of n: below p, below omega1 - 1,
-    omega1 - 1, or omega1 and above.
-    """
+
+def _result(p: int, d: int, value: int, p_exponent: int | None,
+            rows: tuple[tuple[str, object], ...] = (), formula: str = "") -> CountResult:
+    """The one trace shape: modulus, omega1, the formula's rows, count."""
+    trace = (("modulus", f"{p}^{d}"), ("least_monic_degree", omega1_prime_power(p, d)),
+             *rows, ("count", _shown(value, formula)))
+    return CountResult(value, p_exponent, trace)
+
+
+def count_null_le(n: int, p: int, d: int) -> CountResult:
+    """Number of null polynomials of degree <= n mod p**d (zero poly
+    included): p**E(n)."""
     _check_args(n, p, d)
-    omega1 = omega1_prime_power(p, d)
-    trace: list[tuple[str, object]] = [
-        ("modulus", f"{p}^{d}"),
-        ("least_monic_degree", omega1),
-    ]
-    if n < p:
-        trace.append(("case", "below-least-null-degree"))
-        trace.append(("count", 1))
-        return CountResult(1, 0, tuple(trace))
-    exp = _null_count_exponent(n, p, d)
-    if n >= omega1:
-        extra = d * (n - omega1 + 1)
-        trace.append(("case", "above-threshold"))
-        trace.append(("free-coefficients-exponent", extra))
-        trace.append(("threshold-exponent", exp - extra))
-    elif n == omega1 - 1:
-        trace.append(("case", "at-threshold-digit-product"))
-    else:
-        trace.append(("case", "band-reduction"))
-    trace.append(("count-exponent", exp))
-    value = p ** exp
-    trace.append(("count", value if exp < _TRACE_EXPONENT_LIMIT else f"{p}^{exp}"))
-    return CountResult(value, exp, tuple(trace))
+    e = _null_count_exponent(n, p, d)
+    return _result(p, d, p ** e, e, (("count-exponent", e),), f"{p}^{e}")
 
 
 def count_monic(n: int, p: int, d: int) -> CountResult:
-    """Number of monic null polynomials of degree exactly n mod p**d."""
-    omega1 = omega1_prime_power(p, d)
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    trace: list[tuple[str, object]] = [
-        ("modulus", f"{p}^{d}"),
-        ("least_monic_degree", omega1),
-    ]
-    if n < omega1:
-        trace.append(("case", "below-least-monic-degree"))
-        trace.append(("count", 0))
-        return CountResult(0, None, tuple(trace))
-    base_exp = _null_count_exponent(omega1 - 1, p, d)
-    extra = d * (n - omega1)
-    exp = base_exp + extra
-    trace.append(("case", "at-threshold" if n == omega1 else "above-threshold"))
-    trace.append(("threshold-exponent", base_exp))
-    if extra:
-        trace.append(("free-coefficients-exponent", extra))
-    trace.append(("count-exponent", exp))
-    value = p ** exp
-    trace.append(("count", value if exp < _TRACE_EXPONENT_LIMIT else f"{p}^{exp}"))
-    return CountResult(value, exp, tuple(trace))
+    """Number of monic null polynomials of degree exactly n mod p**d:
+    0 below omega1, else p**E(n - 1).
+
+    From omega1 on, x(x-1)...(x-n+1) is null and monic of degree n, so
+    f -> f - x(x-1)...(x-n+1) maps the monic null polynomials of degree n
+    one to one onto the null polynomials of degree < n.
+    """
+    _check_args(n, p, d)
+    if n < omega1_prime_power(p, d):
+        return _result(p, d, 0, None)
+    return count_null_le(n - 1, p, d)
 
 
 def count_monic_le(n: int, p: int, d: int) -> CountResult:
-    """Number of monic null polynomials of degree <= n mod p**d.
+    """Number of monic null polynomials of degree <= n mod p**d: the sum of
+    count_monic over omega1..n, p**E(omega1 - 1) times a geometric factor.
 
-    Geometric sum of count_monic over degrees omega1..n:
-    (p**(d*(n*+1)) - 1) / (p**d - 1) times the threshold count. The factor
-    is ≡ 1 (mod p) and exceeds 1 when n* > 0, so the total is a power of
-    p only at n = omega1.
+    The factor is ≡ 1 (mod p) and exceeds 1 when n > omega1, so the total
+    is a power of p only at n = omega1.
     """
-    if n < 0:
-        raise ValueError("degree bound must be >= 0")
+    _check_args(n, p, d)
     omega1 = omega1_prime_power(p, d)
     if n < omega1:
-        return CountResult(
-            0, None, (("modulus", f"{p}^{d}"), ("case", "below-least-monic-degree"))
-        )
-    nstar = n - omega1
-    base_exp = _null_count_exponent(omega1 - 1, p, d)
-    top = d * (nstar + 1)
-    scale = (p ** top - 1) // (p ** d - 1)
-    value = scale * p ** base_exp
-    trace = (
-        ("modulus", f"{p}^{d}"),
-        ("least_monic_degree", omega1),
-        ("case", "geometric-sum-above-threshold"),
-        ("threshold-exponent", base_exp),
-        ("geometric-factor", scale if top < _TRACE_EXPONENT_LIMIT else f"({p}^{top}-1)/({p}^{d}-1)"),
-    )
-    return CountResult(value, base_exp if n == omega1 else None, trace)
+        return _result(p, d, 0, None)
+    e = _null_count_exponent(omega1 - 1, p, d)
+    top = d * (n - omega1 + 1)
+    factor = (p ** top - 1) // (p ** d - 1)
+    geometric = f"({p}^{top}-1)/({p}^{d}-1)"
+    rows = (("threshold-exponent", e), ("geometric-factor", _shown(factor, geometric)))
+    return _result(p, d, factor * p ** e, e if n == omega1 else None, rows, f"{p}^{e}*{geometric}")

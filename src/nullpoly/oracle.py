@@ -11,9 +11,10 @@ paper's null polynomial: every x**k with k >= m goes onto x**(k-m+1),
 leaving degree < m, and f and its fold are the same function mod m. By
 Lagrange, a polynomial of degree < m over F_m is the only one of that
 degree with its function, so f is null mod m iff its fold is 0: O(deg).
-Where the transform does run on a prime (null_order, and short folds in
-canonical_form), it runs on the fold: for k < m, k! is a unit mod m, so
-the fold's b_k are f's, and b_k for k >= m = mu(m) is never read.
+Every entry point decides the prime case itself and folds before any
+transform: is_null_binomial, and null_order through it when the answer
+can only be 0 or 1; canonical.reduce_degree and canonical.canonical_form
+fold too, so _falling_coords never sees a prime modulus with a long f.
 The definitional scan over all m residues is the independent oracle, and
 lives in the tests.
 """
@@ -38,16 +39,9 @@ def _falling_coords(coeffs: Sequence[int], m: int, stop: int) -> Iterator[int]:
     """Yield b_k mod m, k < min(len(coeffs), stop), where
     sum_i coeffs[i] * x**i = sum_k b_k * x(x-1)...(x-k+1): step k divides
     the quotient left by step k-1 by (x - k) in place, with remainder b_k.
-    Cost: O(deg * min(deg, stop)) multiply-adds by small ints.
-
-    For a prime m and deg >= m, the coefficients are first folded by
-    x**m ≡ x in O(deg), and only b_k for k < m are yielded: the fold is the
-    same function mod m, and k! is a unit mod m for k < m, so those b_k are
-    f's own. The transform then costs O(m * min(m, stop))."""
-    if len(coeffs) > m and is_prime(m):
-        c = _fold(coeffs, m)
-    else:
-        c = [a % m for a in coeffs]
+    Cost: O(deg * min(deg, stop)) multiply-adds by small ints; callers
+    with a prime m fold f first (module docstring)."""
+    c = [a % m for a in coeffs]
     for k in range(min(len(c), stop)):
         acc = 0
         for i in range(len(c) - 1, k - 1, -1):
@@ -59,7 +53,7 @@ def _falling_coords(coeffs: Sequence[int], m: int, stop: int) -> Iterator[int]:
 def _newton_coords(coeffs: Sequence[int], m: int) -> Iterator[int]:
     """Yield a_k = k! * b_k mod m for k < min(deg + 1, mu(m)): the scan ends
     early at the first k with k! ≡ 0 (mod m), k = mu(m), past which every
-    a_k is 0. For a prime m that is also where the folded transform ends."""
+    a_k is 0."""
     fact = 1 % m
     for k, b in enumerate(_falling_coords(coeffs, m, len(coeffs))):
         if k:
@@ -93,13 +87,16 @@ def null_order(f: Polynomial, p: int, d_max: int) -> int:
     is nonzero, and |a_k| <= 2**deg * sum|c_i| * deg**deg, since a_k is the
     alternating binomial sum of f(0..k). So v_p(a_k) < deg +
     (sum|c_i|).bit_length() + deg * deg.bit_length(). The zero polynomial
-    is null mod every p**d and answers max(d_max, 0) at once.
+    is null mod every p**d and answers max(d_max, 0) at once. A clamped
+    d_max <= 1 is answered by is_null_binomial mod p, which folds.
     """
     if not f:
         return max(d_max, 0)
     deg = f.degree
     cap = deg + sum(map(abs, f.coeffs)).bit_length() + deg * deg.bit_length()
     order = max(min(d_max, cap), 0)
+    if order <= 1:
+        return int(order == 1 and is_null_binomial(f, p))
     m = unit = p ** order  # unit = p**order divides every a_k seen so far
     for a in _newton_coords(f.coeffs, m):
         if a % unit:  # then v_p(a) < order: count it from below

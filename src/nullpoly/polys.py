@@ -35,13 +35,6 @@ class Polynomial:
     def __reduce__(self):
         return Polynomial, (self.coeffs,)
 
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "Polynomial":
-        """c * x**k"""
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls((0,) * k + (c,))
-
     @property
     def degree(self) -> int | None:
         """Degree over the integers; None for the zero polynomial."""

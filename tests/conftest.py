@@ -231,8 +231,8 @@ def trial_factorization(m: int) -> list[tuple[int, int]]:
 
 @st.composite
 def prime_and_long_poly(draw):
-    """(f, p) with p prime <= 200 and deg f up to 4p: past degree p the
-    transform folds f by x^p - x first."""
+    """(f, p) with p prime <= 200 and deg f up to 4p: past degree p,
+    canonical_form and reduce_degree fold f by x^p - x first."""
     p = draw(st.sampled_from(PRIMES_TO_200))
     n = draw(st.integers(0, 4 * p))
     return Polynomial(draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n + 1, max_size=n + 1))), p

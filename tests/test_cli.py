@@ -73,7 +73,7 @@ def test_count_text_with_trace(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "N_np(<=3, 2^2) = 4"
-    assert any("case" in line for line in lines[1:])
+    assert "  count-exponent = 2" in lines[1:]
 
 
 def test_count_monic(capsys):
@@ -87,6 +87,16 @@ def test_count_json_round_trip(capsys):
     assert payload["result"]["count"] == 4
     assert payload["result"]["p_exponent"] == 2
     assert payload["verified"] is True
+
+
+def test_count_at_a_large_prime_shows_the_power(capsys):
+    # p**201 is past Python's int-to-str digit limit
+    p = 10 ** 22 + 9
+    code, out, err = run_cli(capsys, "count", str(p + 200), str(p), "1")
+    assert code == 0, err
+    assert out.splitlines()[0] == f"N_np(<={p + 200}, {p}^1) = {p}^201"
+    result = run_json(capsys, "count", str(p + 200), str(p), "1")["result"]
+    assert (result["count"], result["count_str"], result["p_exponent"]) == (None, f"{p}^201", 201)
 
 
 def test_enumerate_sorted_and_verified(capsys):

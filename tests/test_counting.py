@@ -63,12 +63,14 @@ def test_enumerate_equals_the_papers_layered_null_set():
 
 
 def test_enumerate_rejects_what_count_rejects():
-    for n, p, d in [(3, 4, 2), (3, 2, 0), (-1, 2, 3)]:
+    others = [lambda n, p, d: list(enumerate_null(p, d, n)), count_monic, count_monic_le]
+    for n, p, d in [(3, 4, 2), (3, 2, 0), (-1, 2, 3), (-1, 4, 2), (-1, 2, 2)]:
         with pytest.raises(ValueError) as counted:
             count_null_le(n, p, d)
-        with pytest.raises(ValueError) as enumerated:
-            list(enumerate_null(p, d, n))
-        assert str(enumerated.value) == str(counted.value)
+        for other in others:
+            with pytest.raises(ValueError) as rejected:
+                other(n, p, d)
+            assert str(rejected.value) == str(counted.value)
 
 
 def test_enumerate_examples():
@@ -130,14 +132,14 @@ def test_count_examples():
 
 
 def test_count_trace_records_path():
-    trace = dict(count_null_le(3, 2, 3).trace)
-    assert trace["case"] == "at-threshold-digit-product"
-    trace = dict(count_null_le(9, 2, 3).trace)
-    assert trace["case"] == "above-threshold"
-    trace = dict(count_null_le(2, 2, 3).trace)
-    assert trace["case"] == "band-reduction"
-    trace = dict(count_null_le(1, 5, 7).trace)
-    assert trace["case"] == "below-least-null-degree"
+    head = (("modulus", "2^3"), ("least_monic_degree", 4))
+    assert count_null_le(3, 2, 3).trace == head + (("count-exponent", 2), ("count", 4))
+    assert count_null_le(1, 2, 3).trace == head + (("count-exponent", 0), ("count", 1))
+    assert count_monic(3, 2, 3).trace == head + (("count", 0),)
+    assert count_monic(5, 2, 3).trace == head + (("count-exponent", 5), ("count", 32))
+    assert count_monic_le(3, 2, 3).trace == head + (("count", 0),)
+    assert count_monic_le(5, 2, 3).trace == head + (
+        ("threshold-exponent", 2), ("geometric-factor", 9), ("count", 36))
 
 
 def test_count_monic_examples():
@@ -178,12 +180,23 @@ def test_count_monic_le_trace_prints_at_any_size():
     assert ("geometric-factor", 8) in count_monic_le(8, 7, 1).trace
 
 
+def test_traces_print_at_a_large_prime():
+    # p**201 has about 4400 digits: every count row shows its formula
+    p = 10 ** 22 + 9
+    for counter, n, shown in [(count_null_le, p + 200, f"{p}^201"), (count_monic, p + 201, f"{p}^201"),
+                              (count_monic_le, p + 201, f"{p}^0*({p}^202-1)/({p}^1-1)")]:
+        trace = counter(n, p, 1).trace
+        assert trace[-1] == ("count", shown)
+        str(trace)
+
+
 def test_count_monic_le_is_geometric_sum():
-    for p, d in [(2, 2), (2, 3), (3, 2)]:
-        w1 = omega1_prime_power(p, d)
-        for n in range(w1 + 4):
-            expect = sum(count_monic(k, p, d).value for k in range(n + 1))
-            assert count_monic_le(n, p, d).value == expect
+    for p in (2, 3, 5, 7):
+        for d in range(1, 9):
+            w1 = omega1_prime_power(p, d)
+            for n in range(w1 + 4):
+                expect = sum(count_monic(k, p, d).value for k in range(n + 1))
+                assert count_monic_le(n, p, d).value == expect, (p, d, n)
 
 
 def test_stability_across_exponents():
@@ -266,6 +279,19 @@ def test_enumerate_anchor_2_3_8():
     assert all(0 <= c < 8 for f in polys for c in f.coeffs)
     for f in random.Random(8).sample(polys, 200):
         assert is_null_binomial(f, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMES_TO_50), st.integers(min_value=1, max_value=10 ** 4), st.data())
+def test_monic_count_matches_digit_block_formula(p, d, data):
+    # count_monic(n) = p**E(n - 1) against the paper's digit-block count
+    # at omega1 times p**d per degree above it
+    w1 = omega1_prime_power(p, d)
+    n = data.draw(st.integers(min_value=w1, max_value=3 * w1))
+    want = threshold_count_exponent(p, d)[0] + d * (n - w1)
+    assert _null_count_exponent(n - 1, p, d) == want
+    if want <= 10 ** 5:  # count_monic builds p**E itself, so only while that is small
+        assert count_monic(n, p, d).p_exponent == want
 
 
 @settings(max_examples=60, deadline=None)

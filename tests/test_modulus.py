@@ -173,7 +173,7 @@ def test_omega0_composite_brute_force():
         # the generic witness of degree min(p): (m/p^d) * p^(d-1) * (x^p - x)
         pp = min(fm.factors, key=lambda q: q.p)
         scale = (m // pp.modulus) * pp.p ** (pp.d - 1)
-        witness = scale * (Polynomial.monomial(pp.p) - Polynomial((0, 1)))
+        witness = scale * (Polynomial((0,) * pp.p + (1,)) - Polynomial((0, 1)))
         assert deg_mod(witness, m) == pp.p
         assert all(witness.eval_mod(x, m) == 0 for x in range(m))
 
