@@ -12,12 +12,13 @@ count, the scaled tower values) and the brute-force checks live in the
 tests as independent oracles.
 """
 from .canonical import CanonicalForm, canonical_form, equivalent, reduce_degree
-from .construct import build_tower, digit_vector, kempner_basis, kempner_mu, least_monic_null
+from .construct import build_tower, digit_vector, least_monic_null
 from .counting import CountResult, count_monic, count_monic_le, count_null_le, enumerate_null
 from .modulus import (
-    PrimePower,
     crt_combine_poly,
     factor,
+    kempner_basis,
+    kempner_mu,
     least_monic_null_composite,
     omega0_composite,
     omega1_composite,
@@ -30,7 +31,6 @@ __all__ = [
     "CountResult",
     "ParseError",
     "Polynomial",
-    "PrimePower",
     "build_tower",
     "canonical_form",
     "count_monic",

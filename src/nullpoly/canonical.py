@@ -25,7 +25,7 @@ and two integer products (Kronecker substitution):
 from __future__ import annotations
 
 from ._record import Record
-from .construct import kempner_mu
+from .modulus import kempner_mu
 from .oracle import _falling_coords, _fold, _newton_coords, is_null_binomial
 from .polys import Polynomial
 from .primes import is_prime, prime_factorization

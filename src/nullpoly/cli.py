@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 
 from . import canonical, construct, counting, modulus, oracle
 from .polys import (
@@ -15,6 +16,7 @@ from .polys import (
     parse_polynomial,
     reduce_coeffs,
 )
+from .primes import require_prime, vp_factorial
 
 _MU_LIMIT = 10 ** 5  # longest canonical form (mu(m) entries) reduce and equiv print
 
@@ -34,18 +36,27 @@ def _parse_modulus(text: str) -> int:
 
 
 def _check_mu(m: int) -> None:
-    mu = construct.kempner_mu(m)
+    mu = modulus.kempner_mu(m)
     if mu > _MU_LIMIT:
         raise ValueError(f"mu({m}) = {mu} exceeds the canonical-form limit {_MU_LIMIT}")
 
 
-def _vp_factorial(p: int, t: int) -> int:
-    """v_p(t!) by Legendre's formula: the sum of t // p**i over i >= 1."""
-    v, q = 0, p
-    while q <= t:
-        v += t // q
-        q *= p
-    return v
+def _parse_prime_power(text: str) -> tuple[int, int]:
+    """(p, d) from "p^d" or a bare prime "p" (d = 1)."""
+    base, _, exp = text.strip().partition("^")
+    try:
+        p = int(base)
+        d = int(exp) if exp else 1
+    except ValueError as e:
+        raise ValueError(f"bad prime power: {text!r}") from e
+    require_prime(p)
+    if d < 1:
+        raise ValueError("exponent must be >= 1")
+    return p, d
+
+
+def _prime_power_str(p: int, d: int) -> str:
+    return f"{p}^{d}" if d > 1 else str(p)
 
 
 def _cmd_omega(args, out):
@@ -53,14 +64,14 @@ def _cmd_omega(args, out):
     fm = modulus.factor(m)
     w0 = modulus.omega0_composite(fm)
     mu = w1 = modulus.omega1_composite(fm)
-    if not (all(_vp_factorial(pp.p, mu) >= pp.d for pp in fm.factors)
-            and any(_vp_factorial(pp.p, mu - 1) < pp.d for pp in fm.factors)):
+    if not (all(vp_factorial(p, mu) >= d for p, d in fm)
+            and any(vp_factorial(p, mu - 1) < d for p, d in fm)):
         raise AssertionError(f"omega1={w1} is not the least t with {m} | t!")
     out.text(f"omega0={w0} omega1={w1} mu={mu}")
     out.result(
         inputs={"m": m},
         result={"omega0": w0, "omega1": w1, "mu": mu},
-        trace=[["factorization", " * ".join(str(pp) for pp in fm.factors)]],
+        trace=[["factorization", " * ".join(_prime_power_str(p, d) for p, d in fm)]],
         verified=True,
     )
 
@@ -77,7 +88,7 @@ def _cmd_construct(args, out):
         poly = construct.build_tower(p, d)[-1]
         m = p ** construct.repunit(p, d)
     else:
-        poly = construct.kempner_basis(p ** d)
+        poly = modulus.kempner_basis(p ** d)
         m = p ** d
     digits = construct.digit_vector(p, d)
     if not oracle.is_null_binomial(poly, m) or oracle.null_witness(reduce_coeffs(poly, m), m) is not None:
@@ -132,8 +143,7 @@ def _cmd_check_null(args, out):
 def _cmd_order(args, out):
     f = parse_polynomial(args.poly)
     p = args.p
-    if not modulus.is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     order = oracle.null_order(f, p, args.max)
     capped = order == args.max
     suffix = f" (capped at --max {args.max})" if capped else ""
@@ -195,13 +205,14 @@ def _cmd_count(args, out):
     n, p, d = args.n, args.p, args.d
     if args.monic:
         res = counting.count_monic(n, p, d)
-        probe = counting.count_null_le(n, p, d)
         label = f"N_mnp({n}, {p}^{d})"
     else:
-        res = probe = counting.count_null_le(n, p, d)
+        res = counting.count_null_le(n, p, d)
         label = f"N_np(<={n}, {p}^{d})"
     verified = None
-    if probe.value <= 4096:
+    # enumerate while count_null_le(n) = p**e <= 4096, never building a large p**e
+    e = counting.null_count_exponent(n, p, d)
+    if e <= 12 and p ** e <= 4096:
         pd = p ** d
         polys = list(counting.enumerate_null(p, d, n))
         if args.monic:
@@ -260,23 +271,20 @@ def _cmd_crt(args, out):
     parts = []
     for i in range(0, len(items), 2):
         f = parse_polynomial(items[i])
-        pp = modulus.PrimePower.parse(items[i + 1])
-        parts.append((f, pp))
-    combined = modulus.crt_combine_poly(parts)
-    m = 1
-    for _, pp in parts:
-        m *= pp.modulus
-    for f, pp in parts:
-        if reduce_coeffs(combined - f, pp.modulus):
-            raise AssertionError(f"combined polynomial not congruent mod {pp}")
+        parts.append((f, *_parse_prime_power(items[i + 1])))
+    combined = modulus.crt_combine_poly([(f, p ** d) for f, p, d in parts])
+    m = prod(p ** d for _, p, d in parts)
+    for f, p, d in parts:
+        if reduce_coeffs(combined - f, p ** d):
+            raise AssertionError(f"combined polynomial not congruent mod {_prime_power_str(p, d)}")
     out.text(f"modulus: {m}")
     out.text(f"combined: {format_human(combined)}")
     out.text(f"coeffs: {format_csv(combined)}")
     out.result(
         inputs={
             "parts": [
-                {"polynomial": _poly_json(f), "prime_power": str(pp)}
-                for f, pp in parts
+                {"polynomial": _poly_json(f), "prime_power": _prime_power_str(p, d)}
+                for f, p, d in parts
             ]
         },
         result={"modulus": m, "combined": _poly_json(combined)},

@@ -1,4 +1,4 @@
-"""Constructive core: the tower of base null polynomials mod p**d.
+"""The p-adic tower of base null polynomials mod p**d.
 
 Level n of the tower is the monic degree-p**n polynomial obtained by the
 recursion
@@ -9,22 +9,16 @@ recursion
 whose values are divisible by p**repunit(p, n) at every integer but not,
 in general, by the next power of p. build_tower returns levels 1..n as a
 plain tuple, exact over the integers and checked only for being monic of
-degree p**k; nullity is for the caller to test with is_null_binomial.
-Products of tower levels with exponents taken from a mixed-radix digit
-vector give the least-degree monic polynomial vanishing identically mod
-p**d, whose degree matches Kempner's factorial threshold mu(p**d).
+degree p**k; nullity is for the caller to test. The product of tower
+levels with exponents from the mixed-radix digit vector of d is the
+least-degree monic null polynomial mod p**d, of degree omega1(p, d).
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 from .polys import Polynomial
-from .primes import is_prime, prime_factorization
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+from .primes import require_prime
 
 
 def repunit(p: int, n: int) -> int:
@@ -44,7 +38,7 @@ def repunit(p: int, n: int) -> int:
 def build_tower(p: int, n: int) -> tuple[Polynomial, ...]:
     """Tower levels 1..n for the prime p: entry k - 1 is level k, monic of
     degree p**k and null mod p**repunit(p, k)."""
-    _require_prime(p)
+    require_prime(p)
     if n < 1:
         raise ValueError("tower height must be >= 1")
     levels = []
@@ -71,7 +65,7 @@ def digit_vector(p: int, d: int) -> tuple[int, ...]:
     integer iteration (the closed form via logarithms is off by one whenever
     d*(p-1)+1 is an exact power of p).
     """
-    _require_prime(p)
+    require_prime(p)
     if d < 1:
         raise ValueError("d must be >= 1")
     n = 1
@@ -96,7 +90,7 @@ def least_monic_null(p: int, d: int) -> Polynomial:
     """The least-degree monic polynomial vanishing identically mod p**d.
 
     Product of tower levels with the digit-vector exponents; monic over Z,
-    of degree omega1_prime_power(p, d) = kempner_mu(p**d).
+    of degree omega1_prime_power(p, d) = mu(p**d).
     """
     digits = digit_vector(p, d)
     tower = build_tower(p, len(digits))
@@ -112,26 +106,3 @@ def least_monic_null(p: int, d: int) -> Polynomial:
 def omega1_prime_power(p: int, d: int) -> int:
     """Least degree of a monic null polynomial mod p**d: sum e_i * p**i."""
     return sum(e * p ** (i + 1) for i, e in enumerate(digit_vector(p, d)))
-
-
-def kempner_mu(m: int) -> int:
-    """Smallest t with m | t!: the max of omega1_prime_power(p, d) over the
-    p**d exactly dividing m (the degree theorem), with m factored by
-    prime_factorization."""
-    if m < 2:
-        raise ValueError("kempner_mu requires m >= 2")
-    return max(omega1_prime_power(p, d) for p, d in prime_factorization(m))
-
-
-def kempner_basis(m: int) -> Polynomial:
-    """x(x-1)...(x-(mu(m)-1)): a monic null polynomial of least degree mod m.
-
-    Null because its value at any x is mu! * C(x, mu), and minimal because a
-    monic f = sum (m a_k / k!) x(x-1)...(x-k+1) forces m | n! at the top.
-    For a prime p it is x(x-1)...(x-(p-1)), the tower's level 1.
-    """
-    mu = kempner_mu(m)
-    f = Polynomial((1,))
-    for i in range(mu):
-        f = f * Polynomial((-i, 1))
-    return f

@@ -37,7 +37,7 @@ from collections.abc import Iterator
 from ._record import Record
 from .construct import omega1_prime_power
 from .polys import Polynomial
-from .primes import is_prime
+from .primes import require_prime, vp_factorial
 
 # Counts and factors from this value on are shown as their formula, so no
 # trace or CLI line converts an integer of thousands of digits to decimal.
@@ -59,8 +59,7 @@ class CountResult(Record):
 
 
 def _check_args(n: int, p: int, d: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if d < 1:
         raise ValueError("d must be >= 1")
     if n < 0:
@@ -87,13 +86,10 @@ def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
     pd = p ** d
     rows: list[tuple[tuple[int, int], ...]] = []  # sparse (index, coeff)
     radices: list[int] = []
-    falling, v = [1], 0  # x(x-1)...(x-k+1) mod p**d, ascending; v_p(k!)
+    falling = [1]  # x(x-1)...(x-k+1) mod p**d, ascending
     for k in range(1, n + 1):
         falling = [(lo - (k - 1) * hi) % pd for lo, hi in zip([0] + falling, falling + [0])]
-        q = k
-        while q % p == 0:
-            q, v = q // p, v + 1
-        e = min(d, v)
+        e = min(d, vp_factorial(p, k))
         if e:
             scale = p ** (d - e)
             row = [(i, c * scale % pd) for i, c in enumerate(falling)]
@@ -116,7 +112,7 @@ def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
             return
 
 
-def _null_count_exponent(n: int, p: int, d: int) -> int:
+def null_count_exponent(n: int, p: int, d: int) -> int:
     """log_p of the number of null polynomials of degree <= n mod p**d:
     E = sum_{k<=n} min(d, v_p(k!)).
 
@@ -153,7 +149,7 @@ def count_null_le(n: int, p: int, d: int) -> CountResult:
     """Number of null polynomials of degree <= n mod p**d (zero poly
     included): p**E(n)."""
     _check_args(n, p, d)
-    e = _null_count_exponent(n, p, d)
+    e = null_count_exponent(n, p, d)
     return _result(p, d, p ** e, e, (("count-exponent", e),), f"{p}^{e}")
 
 
@@ -182,7 +178,7 @@ def count_monic_le(n: int, p: int, d: int) -> CountResult:
     omega1 = omega1_prime_power(p, d)
     if n < omega1:
         return _result(p, d, 0, None)
-    e = _null_count_exponent(omega1 - 1, p, d)
+    e = null_count_exponent(omega1 - 1, p, d)
     top = d * (n - omega1 + 1)
     factor = (p ** top - 1) // (p ** d - 1)
     geometric = f"({p}^{top}-1)/({p}^{d}-1)"

@@ -1,72 +1,20 @@
-"""Prime-power moduli, factorization, and CRT composition.
+"""The factorization of m and what is read off it.
 
-A polynomial is null mod m exactly when it is null mod every prime power in
-m's factorization, so every composite question reduces to per-factor
-questions plus a coefficient-wise Chinese remainder step.
+factor(m) is prime_factorization, the sorted (p, d) pairs with product m.
+From them come Kempner's mu(m) = omega1 (the max over the p**d), omega0
+(the least p), the Kempner basis, and the least monic null polynomial mod
+m, combined from the prime-power ones by a coefficient-wise CRT. Nullity
+and the canonical form mod m do not pass through here: they run the
+falling-factorial transform mod m directly.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import gcd, prod
 
 from . import construct, oracle
-from ._record import Record
 from .polys import Polynomial, reduce_coeffs
-from .primes import is_prime, prime_factorization
-
-
-class PrimePower(Record):
-    __slots__ = ("p", "d")
-
-    def __init__(self, p: int, d: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if d < 1:
-            raise ValueError("exponent must be >= 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.d
-
-    @classmethod
-    def parse(cls, text: str) -> "PrimePower":
-        """Accepts "p^d" or a bare prime "p" (d = 1)."""
-        s = text.strip()
-        base, _, exp = s.partition("^")
-        try:
-            p = int(base)
-            d = int(exp) if exp else 1
-        except ValueError as e:
-            raise ValueError(f"bad prime power: {text!r}") from e
-        return cls(p, d)
-
-    def __str__(self) -> str:
-        return f"{self.p}^{self.d}" if self.d > 1 else str(self.p)
-
-
-class FactoredModulus(Record):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[PrimePower, ...]):
-        if not factors:
-            raise ValueError("factorization must be nonempty")
-        primes = [f.p for f in factors]
-        if sorted(set(primes)) != primes:
-            raise ValueError("primes must be strictly increasing and distinct")
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def modulus(self) -> int:
-        m = 1
-        for f in self.factors:
-            m *= f.modulus
-        return m
-
-
-def factor(m: int) -> FactoredModulus:
-    """Complete factorization of m >= 2, factors sorted by prime."""
-    return FactoredModulus(tuple(PrimePower(p, d) for p, d in prime_factorization(m)))
+from .primes import prime_factorization as factor
 
 
 def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
@@ -79,19 +27,23 @@ def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
     return x % m
 
 
-def crt_combine_poly(parts: Sequence[tuple[Polynomial, PrimePower]]) -> Polynomial:
-    """Coefficient-wise CRT of per-prime-power polynomials.
+def crt_combine_poly(parts: Sequence[tuple[Polynomial, int]]) -> Polynomial:
+    """Coefficient-wise CRT of (polynomial, modulus) parts.
 
-    Shorter parts are padded with zero coefficients; the result is the
-    unique polynomial mod prod(p_i**d_i) congruent to each part mod its
-    prime power.
+    The moduli must be >= 2 and pairwise coprime. Shorter parts are padded
+    with zero coefficients; the result is the unique polynomial mod the
+    product of the moduli congruent to each part mod its modulus.
     """
     if not parts:
         raise ValueError("need at least one part")
-    primes = [pp.p for _, pp in parts]
-    if len(set(primes)) != len(primes):
-        raise ValueError("duplicate primes in CRT parts")
-    moduli = [pp.modulus for _, pp in parts]
+    moduli = [q for _, q in parts]
+    m = 1
+    for q in moduli:
+        if q < 2:
+            raise ValueError(f"CRT modulus {q} must be >= 2")
+        if gcd(m, q) != 1:
+            raise ValueError(f"CRT moduli must be pairwise coprime: {q} shares a factor with {m}")
+        m *= q
     width = max((len(f.coeffs) for f, _ in parts), default=0)
     coeffs = []
     for k in range(width):
@@ -100,39 +52,58 @@ def crt_combine_poly(parts: Sequence[tuple[Polynomial, PrimePower]]) -> Polynomi
     return Polynomial(coeffs)
 
 
-def omega1_composite(fm: FactoredModulus) -> int:
+def omega1_composite(factors: Sequence[tuple[int, int]]) -> int:
     """Least monic null-polynomial degree mod m: max over the factors.
 
     A monic polynomial stays monic (leading coefficient ≡ 1, a unit) mod
     every factor, so the max is both achievable and a lower bound.
     """
-    return max(construct.omega1_prime_power(pp.p, pp.d) for pp in fm.factors)
+    return max(construct.omega1_prime_power(p, d) for p, d in factors)
 
 
-def omega0_composite(fm: FactoredModulus) -> int:
+def omega0_composite(factors: Sequence[tuple[int, int]]) -> int:
     """Least degree of any nonzero null polynomial mod m: min over factor primes.
 
     (m / p**d) * p**(d-1) * (x**p - x) has degree p and is null mod m; and a
     nonzero null polynomial of degree n mod m keeps degree n mod the factor
     where its top coefficient survives, forcing n >= that factor's p.
     """
-    return min(pp.p for pp in fm.factors)
+    return min(p for p, _ in factors)
 
 
-def least_monic_null_composite(fm: FactoredModulus) -> Polynomial:
+def kempner_mu(m: int) -> int:
+    """Smallest t with m | t!: omega1_composite of m's factorization (the
+    degree theorem)."""
+    return omega1_composite(factor(m))
+
+
+def kempner_basis(m: int) -> Polynomial:
+    """x(x-1)...(x-(mu(m)-1)): a monic null polynomial of least degree mod m.
+
+    Null because its value at any x is mu! * C(x, mu), and minimal because a
+    monic f = sum (m a_k / k!) x(x-1)...(x-k+1) forces m | n! at the top.
+    For a prime p it is x(x-1)...(x-(p-1)), the tower's level 1.
+    """
+    mu = kempner_mu(m)
+    f = Polynomial((1,))
+    for i in range(mu):
+        f = f * Polynomial((-i, 1))
+    return f
+
+
+def least_monic_null_composite(factors: Sequence[tuple[int, int]]) -> Polynomial:
     """A monic null polynomial mod m of the least possible degree.
 
     Each factor's least monic null polynomial is padded to the common
     degree D = omega1_composite by a power of x (multiplying a null
     polynomial preserves nullity and monicity), then combined by CRT.
     """
-    target = omega1_composite(fm)
+    target = omega1_composite(factors)
     parts = []
-    for pp in fm.factors:
-        h = construct.least_monic_null(pp.p, pp.d)
-        h = h.shift(target - h.degree)
-        parts.append((reduce_coeffs(h, pp.modulus), pp))
+    for p, d in factors:
+        h = construct.least_monic_null(p, d)
+        parts.append((reduce_coeffs(h.shift(target - h.degree), p ** d), p ** d))
     combined = crt_combine_poly(parts)
-    if not oracle.is_null_binomial(combined, fm.modulus):
+    if not oracle.is_null_binomial(combined, prod(q for _, q in parts)):
         raise AssertionError("combined polynomial failed the null oracle")
     return combined

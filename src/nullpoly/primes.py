@@ -59,6 +59,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def vp_factorial(p: int, t: int) -> int:
+    """v_p(t!) by Legendre's formula: the sum of t // p**i over i >= 1."""
+    v, q = 0, p
+    while q <= t:
+        v += t // q
+        q *= p
+    return v
+
+
 def _rho_divisor(n: int) -> int | None:
     """A proper divisor of the odd composite n, by Brent's cycle search on
     y -> y*y + c mod n, with the gcd taken once per batch of differences.

@@ -33,9 +33,9 @@ def is_null_eval(f: Polynomial, m: int) -> bool:
 
 
 def is_null_composite(f: Polynomial, fm) -> bool:
-    """Null mod m iff null mod every prime-power factor of the
-    FactoredModulus fm, each tested by definition."""
-    return all(is_null_eval(f, pp.modulus) for pp in fm.factors)
+    """Null mod m iff null mod every prime power p**d of the factorization
+    fm, a list of (p, d) pairs, each tested by definition."""
+    return all(is_null_eval(f, p ** d) for p, d in fm)
 
 
 def is_monic_mod(f: Polynomial, m: int) -> bool:

@@ -16,9 +16,9 @@ from conftest import (
     scaled_tower_value,
     tower_threshold_exponent,
 )
-from nullpoly.construct import kempner_basis, least_monic_null, omega1_prime_power
+from nullpoly.construct import least_monic_null, omega1_prime_power
 from nullpoly.counting import count_monic, count_null_le, enumerate_null
-from nullpoly.modulus import factor, least_monic_null_composite, omega1_composite
+from nullpoly.modulus import factor, kempner_basis, least_monic_null_composite, omega1_composite
 from nullpoly.oracle import is_null_binomial
 from nullpoly.polys import Polynomial, parse_polynomial
 from nullpoly import cli
@@ -156,7 +156,7 @@ def test_criterion_10_crt_composites():
             assert is_null_eval(h, m) and is_null_binomial(h, m), m
             target = omega1_composite(fm)
             assert target == max(
-                omega1_prime_power(pp.p, pp.d) for pp in fm.factors
+                omega1_prime_power(p, d) for p, d in fm
             )
             assert h.degree == target == kempner_mu_scan(m), m
             assert is_null_composite(h, fm)

@@ -23,7 +23,8 @@ from nullpoly.canonical import (
     equivalent,
     reduce_degree,
 )
-from nullpoly.construct import kempner_basis, kempner_mu, least_monic_null
+from nullpoly.construct import least_monic_null
+from nullpoly.modulus import kempner_basis, kempner_mu
 from nullpoly.oracle import _fold
 from nullpoly.polys import Polynomial, deg_mod, parse_polynomial, reduce_coeffs
 

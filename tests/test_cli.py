@@ -82,6 +82,17 @@ def test_count_monic(capsys):
     assert out.splitlines()[0] == "N_mnp(4, 2^2) = 4"
 
 
+def test_count_monic_below_omega1_builds_no_power(capsys):
+    # 3000 < omega1(3^10000): the answer is 0, and p**E(3000) is 3^2240293
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "3000", "3", "10000", "--monic")
+    assert time.perf_counter() - start < 0.1
+    assert code == 0, err
+    assert out.splitlines()[0] == "N_mnp(3000, 3^10000) = 0"
+    for argv in (("4", "2", "2"), ("3", "2", "1")):
+        assert run_json(capsys, "count", *argv, "--monic")["verified"] is True
+
+
 def test_count_json_round_trip(capsys):
     payload = run_json(capsys, "count", "3", "2", "3")
     assert payload["result"]["count"] == 4
@@ -123,6 +134,15 @@ def test_crt_command(capsys):
     assert payload["result"]["modulus"] == 6
     assert payload["result"]["combined"]["human"] == "4x^3+3x^2+5x"
     assert payload["verified"] is True
+
+
+def test_crt_refuses_what_is_not_a_prime_power(capsys):
+    for text in ("4^2", "x", "2^0", "2^^3"):
+        code, out, err = run_cli(capsys, "crt", "x", text, "x", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    parts = run_json(capsys, "crt", "x", "2^1", "x+1", "3^2")["inputs"]["parts"]
+    assert [part["prime_power"] for part in parts] == ["2", "3^2"]
 
 
 def test_equiv_and_reduce(capsys):

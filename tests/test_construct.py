@@ -6,13 +6,11 @@ from conftest import is_null_eval, kempner_mu_scan, scaled_tower_value
 from nullpoly.construct import (
     build_tower,
     digit_vector,
-    kempner_basis,
-    kempner_mu,
     least_monic_null,
     omega1_prime_power,
     repunit,
 )
-from nullpoly.modulus import factor, omega0_composite
+from nullpoly.modulus import factor, kempner_basis, kempner_mu, omega0_composite
 from nullpoly.oracle import is_null_binomial
 from nullpoly.polys import Polynomial, parse_polynomial, reduce_coeffs
 

@@ -14,11 +14,11 @@ from conftest import (
 )
 from nullpoly.construct import least_monic_null, omega1_prime_power, repunit
 from nullpoly.counting import (
-    _null_count_exponent,
     count_monic,
     count_monic_le,
     count_null_le,
     enumerate_null,
+    null_count_exponent,
 )
 from nullpoly.oracle import is_null_binomial
 from nullpoly.polys import Polynomial, deg_mod, parse_polynomial
@@ -289,7 +289,7 @@ def test_monic_count_matches_digit_block_formula(p, d, data):
     w1 = omega1_prime_power(p, d)
     n = data.draw(st.integers(min_value=w1, max_value=3 * w1))
     want = threshold_count_exponent(p, d)[0] + d * (n - w1)
-    assert _null_count_exponent(n - 1, p, d) == want
+    assert null_count_exponent(n - 1, p, d) == want
     if want <= 10 ** 5:  # count_monic builds p**E itself, so only while that is small
         assert count_monic(n, p, d).p_exponent == want
 
@@ -300,7 +300,7 @@ def test_valuation_sum_matches_digit_block_formula(p, d):
     # the paper's digit-block product is an independent route to the count
     # just below the least monic degree, at any size
     w1 = omega1_prime_power(p, d)
-    assert _null_count_exponent(w1 - 1, p, d) == threshold_count_exponent(p, d)[0]
+    assert null_count_exponent(w1 - 1, p, d) == threshold_count_exponent(p, d)[0]
 
 
 def _vp_factorial(p: int, k: int) -> int:
@@ -316,4 +316,4 @@ def _vp_factorial(p: int, k: int) -> int:
 def test_valuation_sum_matches_naive_loop(p, d, data):
     n = data.draw(st.integers(min_value=p, max_value=3 * omega1_prime_power(p, d)))
     naive = sum(min(d, _vp_factorial(p, k)) for k in range(n + 1))
-    assert _null_count_exponent(n, p, d) == naive
+    assert null_count_exponent(n, p, d) == naive

@@ -14,12 +14,11 @@ from conftest import (
     kempner_mu_scan,
     trial_factorization,
 )
-from nullpoly.construct import kempner_mu, least_monic_null
+from nullpoly.construct import least_monic_null
 from nullpoly.modulus import (
-    FactoredModulus,
-    PrimePower,
     crt_combine_poly,
     factor,
+    kempner_mu,
     least_monic_null_composite,
     omega0_composite,
     omega1_composite,
@@ -42,76 +41,59 @@ def test_is_prime():
 
 
 def test_factor_examples():
-    assert factor(72).factors == (PrimePower(2, 3), PrimePower(3, 2))
-    assert factor(8).factors == (PrimePower(2, 3),)
-    assert factor(7919).factors == (PrimePower(7919, 1),)
+    assert factor is prime_factorization
+    assert factor(72) == [(2, 3), (3, 2)]
+    assert factor(8) == [(2, 3)]
+    assert factor(7919) == [(7919, 1)]
     with pytest.raises(ValueError):
         factor(1)
 
 
 def test_factor_round_trip():
     for m in range(2, 500):
-        assert factor(m).modulus == m
-
-
-def test_prime_power_parse():
-    assert PrimePower.parse("2^3") == PrimePower(2, 3)
-    assert PrimePower.parse("7") == PrimePower(7, 1)
-    with pytest.raises(ValueError):
-        PrimePower.parse("4^2")
-    with pytest.raises(ValueError):
-        PrimePower.parse("x")
-
-
-def test_factored_modulus_validation():
-    with pytest.raises(ValueError):
-        FactoredModulus((PrimePower(3, 1), PrimePower(2, 1)))  # not sorted
-    with pytest.raises(ValueError):
-        FactoredModulus((PrimePower(2, 1), PrimePower(2, 2)))  # duplicate prime
-    with pytest.raises(ValueError):
-        FactoredModulus(())
+        assert math.prod(p ** d for p, d in factor(m)) == m
 
 
 def test_crt_combine_poly_example():
     parts = [
-        (parse_polynomial("x^2+x"), PrimePower(2, 1)),
-        (parse_polynomial("x^3-x"), PrimePower(3, 1)),
+        (parse_polynomial("x^2+x"), 2),
+        (parse_polynomial("x^3-x"), 3),
     ]
     c = crt_combine_poly(parts)
     assert c == parse_polynomial("4x^3+3x^2+5x")
-    for f, pp in parts:
-        assert not reduce_coeffs(c - f, pp.modulus)
+    for f, q in parts:
+        assert not reduce_coeffs(c - f, q)
 
 
 def test_crt_single_part_and_uniformity():
     f = Polynomial((5, -3, 11))
-    assert crt_combine_poly([(f, PrimePower(3, 2))]) == reduce_coeffs(f, 9)
+    assert crt_combine_poly([(f, 9)]) == reduce_coeffs(f, 9)
     # same f mod every factor combines back to f reduced mod m
-    fm = factor(60)
-    parts = [(reduce_coeffs(f, pp.modulus), pp) for pp in fm.factors]
+    parts = [(reduce_coeffs(f, p ** d), p ** d) for p, d in factor(60)]
     assert crt_combine_poly(parts) == reduce_coeffs(f, 60)
 
 
 def test_crt_rejects_duplicate_primes():
-    with pytest.raises(ValueError):
-        crt_combine_poly([(Polynomial((1,)), PrimePower(2, 1)), (Polynomial((1,)), PrimePower(2, 2))])
+    with pytest.raises(ValueError, match="pairwise coprime"):
+        crt_combine_poly([(Polynomial((1,)), 2), (Polynomial((1,)), 4)])
+    with pytest.raises(ValueError, match=">= 2"):
+        crt_combine_poly([(Polynomial((1,)), 1), (Polynomial((1,)), 3)])
+    # coprime composites combine
+    c = crt_combine_poly([(Polynomial((1, 2)), 4), (Polynomial((5, 0, 7)), 9)])
+    assert c == Polynomial((5, 18, 16))
 
 
 def test_crt_congruent_to_each_part_sweep():
     rng = random.Random(11)
     for m in range(2, 101):
-        fm = factor(m)
         parts = [
-            (
-                Polynomial([rng.randrange(pp.modulus) for _ in range(rng.randrange(1, 6))]),
-                pp,
-            )
-            for pp in fm.factors
+            (Polynomial([rng.randrange(p ** d) for _ in range(rng.randrange(1, 6))]), p ** d)
+            for p, d in factor(m)
         ]
         c = crt_combine_poly(parts)
         assert all(cf < m for cf in c.coeffs)
-        for f, pp in parts:
-            assert not reduce_coeffs(c - f, pp.modulus)
+        for f, q in parts:
+            assert not reduce_coeffs(c - f, q)
 
 
 # is_null_binomial answers a composite modulus directly
@@ -138,7 +120,7 @@ def test_is_null_composite_agrees_with_direct_evaluation():
 
 def test_omega1_composite_examples():
     assert omega1_composite(factor(6)) == 3
-    assert omega1_composite(factor(8)) == omega1_composite(FactoredModulus((PrimePower(2, 3),))) == 4
+    assert omega1_composite(factor(8)) == omega1_composite([(2, 3)]) == 4
     assert omega1_composite(factor(24)) == 4
     assert omega1_composite(factor(72)) == 6
 
@@ -166,15 +148,15 @@ def test_omega0_composite_brute_force():
     for m in range(2, 31):
         fm = factor(m)
         w0 = omega0_composite(fm)
-        assert w0 == min(pp.p for pp in fm.factors)
+        assert w0 == min(p for p, _ in fm)
         found = _brute_least_nonzero_null_degree(m)
         if found is not None:
             assert found == w0
         # the generic witness of degree min(p): (m/p^d) * p^(d-1) * (x^p - x)
-        pp = min(fm.factors, key=lambda q: q.p)
-        scale = (m // pp.modulus) * pp.p ** (pp.d - 1)
-        witness = scale * (Polynomial((0,) * pp.p + (1,)) - Polynomial((0, 1)))
-        assert deg_mod(witness, m) == pp.p
+        p, d = min(fm)
+        scale = (m // p ** d) * p ** (d - 1)
+        witness = scale * (Polynomial((0,) * p + (1,)) - Polynomial((0, 1)))
+        assert deg_mod(witness, m) == p
         assert all(witness.eval_mod(x, m) == 0 for x in range(m))
 
 
@@ -239,7 +221,7 @@ def test_factor_semiprime_of_two_ten_digit_primes_is_fast():
     start = time.perf_counter()
     fm = factor(m)
     assert time.perf_counter() - start < 1.0
-    assert fm.factors == (PrimePower(10 ** 9 + 7, 1), PrimePower(10 ** 9 + 9, 1))
+    assert fm == [(10 ** 9 + 7, 1), (10 ** 9 + 9, 1)]
 
 
 def test_rho_budget_splits_two_thirteen_digit_primes_and_refuses_two_near_1e18():

@@ -14,7 +14,8 @@ from conftest import (
     is_null_eval,
     newton_coefficients,
 )
-from nullpoly.construct import kempner_basis, kempner_mu, least_monic_null
+from nullpoly.construct import least_monic_null
+from nullpoly.modulus import kempner_basis, kempner_mu
 from nullpoly.oracle import is_null_binomial, null_order, null_witness
 from nullpoly.polys import Polynomial, parse_polynomial
 

@@ -1,7 +1,8 @@
-"""The package's public surface, and the rule that result checks in src/
-survive ``python -O``."""
+"""The package's public surface, its import layering, and the rule that
+result checks in src/ survive ``python -O``."""
 import ast
 import re
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import nullpoly
@@ -13,7 +14,6 @@ KEPT = [
     "CountResult",
     "ParseError",
     "Polynomial",
-    "PrimePower",
     "build_tower",
     "canonical_form",
     "count_monic",
@@ -47,6 +47,23 @@ def test_every_name_the_bench_worker_calls_is_public():
     called = set(re.findall(r"\bnp\.(\w+)", (ROOT / "bench" / "worker.py").read_text()))
     assert len(called) == 15
     assert called <= set(nullpoly.__all__)
+
+
+def test_intra_package_imports_are_layered():
+    # modulus owns what is read off m's factorization; construct is the tower
+    graph, names = {}, {}
+    for path in sorted((ROOT / "src" / "nullpoly").glob("*.py")):
+        modules, imported = set(), set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                aliases = {alias.name for alias in node.names}
+                imported |= aliases
+                modules |= {node.module} if node.module else aliases
+        graph[path.stem], names[path.stem] = modules, imported
+    assert graph["modulus"] and graph["cli"]
+    TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+    assert "modulus" not in graph["construct"]
+    assert "prime_factorization" not in names["construct"]
 
 
 def test_src_has_no_bare_assert():

@@ -3,9 +3,8 @@ import pickle
 
 import pytest
 
-from nullpoly.canonical import canonical_form
+from nullpoly.canonical import CanonicalForm, canonical_form
 from nullpoly.counting import count_monic_le, count_null_le
-from nullpoly.modulus import FactoredModulus, PrimePower, factor
 from nullpoly.polys import Polynomial
 
 
@@ -13,8 +12,6 @@ def _records():
     return [
         Polynomial([1, 2]),
         Polynomial(()),
-        PrimePower(7, 2),
-        factor(360),
         count_null_le(10, 3, 2),
         count_monic_le(12, 2, 5),
         canonical_form(Polynomial([1, 0, 1]), 8),
@@ -42,18 +39,8 @@ def test_records_are_immutable(record):
 
 
 def test_record_equality_is_by_class_and_fields():
-    assert PrimePower(2, 3) == PrimePower(2, 3)
-    assert PrimePower(2, 3) != PrimePower(2, 5)
-    assert PrimePower(2, 3) != (2, 3)
-    assert len({PrimePower(2, 3), PrimePower(2, 3), PrimePower(3, 1)}) == 2
-    assert repr(PrimePower(2, 3)) == "PrimePower(p=2, d=3)"
-    assert repr(FactoredModulus((PrimePower(5, 1),))) == "FactoredModulus(factors=(PrimePower(p=5, d=1),))"
-
-
-def test_records_keep_their_validation():
-    with pytest.raises(ValueError):
-        PrimePower(4, 1)
-    with pytest.raises(ValueError):
-        PrimePower(2, 0)
-    with pytest.raises(ValueError):
-        FactoredModulus(())
+    assert CanonicalForm(8, (1, 0, 1)) == CanonicalForm(8, (1, 0, 1))
+    assert CanonicalForm(8, (1, 0, 1)) != CanonicalForm(8, (1, 0, 2))
+    assert CanonicalForm(8, (1, 0, 1)) != (8, (1, 0, 1))
+    assert len({CanonicalForm(8, (1,)), CanonicalForm(8, (1,)), CanonicalForm(9, (1,))}) == 2
+    assert repr(CanonicalForm(8, (1, 0))) == "CanonicalForm(m=8, a=(1, 0))"
