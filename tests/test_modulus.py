@@ -14,6 +14,7 @@ from conftest import (
     kempner_mu_scan,
     trial_factorization,
 )
+from nullpoly.cli import _parse_prime_power
 from nullpoly.construct import least_monic_null
 from nullpoly.modulus import (
     crt_combine_poly,
@@ -52,6 +53,16 @@ def test_factor_examples():
 def test_factor_round_trip():
     for m in range(2, 500):
         assert math.prod(p ** d for p, d in factor(m)) == m
+
+
+def test_prime_power_parse():
+    # the crt command reads each modulus as "p^d" or a bare prime "p"
+    assert _parse_prime_power("2^3") == (2, 3)
+    assert _parse_prime_power("7") == (7, 1)
+    with pytest.raises(ValueError):
+        _parse_prime_power("4^2")
+    with pytest.raises(ValueError):
+        _parse_prime_power("x")
 
 
 def test_crt_combine_poly_example():

@@ -4,7 +4,9 @@ import pickle
 import pytest
 
 from nullpoly.canonical import CanonicalForm, canonical_form
+from nullpoly.cli import _parse_prime_power
 from nullpoly.counting import count_monic_le, count_null_le
+from nullpoly.modulus import crt_combine_poly, factor
 from nullpoly.polys import Polynomial
 
 
@@ -44,3 +46,15 @@ def test_record_equality_is_by_class_and_fields():
     assert CanonicalForm(8, (1, 0, 1)) != (8, (1, 0, 1))
     assert len({CanonicalForm(8, (1,)), CanonicalForm(8, (1,)), CanonicalForm(9, (1,))}) == 2
     assert repr(CanonicalForm(8, (1, 0))) == "CanonicalForm(m=8, a=(1, 0))"
+
+
+def test_records_keep_their_validation():
+    # a prime power needs a prime base and d >= 1; a factorization needs a part
+    with pytest.raises(ValueError):
+        _parse_prime_power("4")
+    with pytest.raises(ValueError):
+        _parse_prime_power("2^0")
+    with pytest.raises(ValueError):
+        factor(1)
+    with pytest.raises(ValueError):
+        crt_combine_poly([])
