@@ -131,6 +131,8 @@ def canonical_form(f: Polynomial, m: int) -> CanonicalForm:
     when n**2 <= _VALUES_CROSSOVER * m, else from the fold's values on F_m
     by Bluestein's chirp and a_k from an exponential generating function
     product, O(m) steps and two integer products."""
+    if m < 2:
+        raise ValueError("modulus must be >= 2")
     if is_prime(m):
         c, mu = _fold(f.coeffs, m), m
         if len(c) ** 2 > _VALUES_CROSSOVER * m:

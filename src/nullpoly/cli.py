@@ -10,7 +10,6 @@ from . import canonical, construct, counting, modulus, oracle
 from .polys import (
     ParseError,
     Polynomial,
-    deg_mod,
     format_csv,
     format_human,
     parse_polynomial,
@@ -53,6 +52,11 @@ def _parse_prime_power(text: str) -> tuple[int, int]:
     if d < 1:
         raise ValueError("exponent must be >= 1")
     return p, d
+
+
+def _count_at_most(p: int, e: int, limit: int) -> bool:
+    """p**e <= limit, building p**e only below limit's bit length (p >= 2)."""
+    return e < limit.bit_length() and p ** e <= limit
 
 
 def _prime_power_str(p: int, d: int) -> str:
@@ -143,7 +147,6 @@ def _cmd_check_null(args, out):
 def _cmd_order(args, out):
     f = parse_polynomial(args.poly)
     p = args.p
-    require_prime(p)
     order = oracle.null_order(f, p, args.max)
     capped = order == args.max
     suffix = f" (capped at --max {args.max})" if capped else ""
@@ -210,17 +213,12 @@ def _cmd_count(args, out):
         res = counting.count_null_le(n, p, d)
         label = f"N_np(<={n}, {p}^{d})"
     verified = None
-    # enumerate while count_null_le(n) = p**e <= 4096, never building a large p**e
-    e = counting.null_count_exponent(n, p, d)
-    if e <= 12 and p ** e <= 4096:
-        pd = p ** d
+    # enumerate while count_null_le(n) = p**E(n) <= 4096
+    if _count_at_most(p, counting.null_count_exponent(n, p, d), 4096):
         polys = list(counting.enumerate_null(p, d, n))
         if args.monic:
-            got = sum(
-                1
-                for f in polys
-                if deg_mod(f, pd) == n and f.coeffs[n] % pd == 1
-            )
+            # enumerate_null yields reduced polynomials
+            got = sum(1 for f in polys if f.degree == n and f.coeffs[n] == 1)
         else:
             got = len(set(polys))
         if got != res.value:
@@ -244,11 +242,12 @@ def _cmd_count(args, out):
 
 def _cmd_enumerate(args, out):
     n, p, d = args.n, args.p, args.d
-    total = counting.count_null_le(n, p, d).value
-    if total > args.limit:
+    e = counting.null_count_exponent(n, p, d)
+    if not _count_at_most(p, e, args.limit):
         raise ValueError(
-            f"count {total} exceeds --limit {args.limit}; raise the limit to proceed"
+            f"count {p}^{e} exceeds --limit {args.limit}; raise the limit to proceed"
         )
+    total = p ** e
     pd = p ** d
     polys = sorted(counting.enumerate_null(p, d, n), key=lambda f: f.coeffs)
     for f in polys:

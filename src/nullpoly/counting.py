@@ -79,8 +79,8 @@ def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
 
     Rejects what count_null_le rejects, with the same messages.
     Coefficients come out reduced to [0, p**d). The caller is responsible
-    for bounding the total via count_null_le first; generation order is an
-    implementation detail (the CLI sorts).
+    for bounding the total via null_count_exponent first; generation order
+    is an implementation detail (the CLI sorts).
     """
     _check_args(n, p, d)
     pd = p ** d
@@ -120,8 +120,10 @@ def null_count_exponent(n: int, p: int, d: int) -> int:
     to n plus S(N) = sum_{k<=N} v_p(k!) for N = min(n, omega1 - 1).
     S(N) = sum over q = p**i of sum_{k<=N} floor(k / q), and each inner sum
     has a = (N+1) // q full runs of q equal values 0..a-1, then N+1 - a*q
-    values equal to a.
+    values equal to a. A composite p, d < 1 or n < 0 is refused here, with
+    the messages every count gives.
     """
+    _check_args(n, p, d)
     omega1 = omega1_prime_power(p, d)
     top = min(n, omega1 - 1)
     total = d * max(0, n - omega1 + 1)
@@ -148,7 +150,6 @@ def _result(p: int, d: int, value: int, p_exponent: int | None,
 def count_null_le(n: int, p: int, d: int) -> CountResult:
     """Number of null polynomials of degree <= n mod p**d (zero poly
     included): p**E(n)."""
-    _check_args(n, p, d)
     e = null_count_exponent(n, p, d)
     return _result(p, d, p ** e, e, (("count-exponent", e),), f"{p}^{e}")
 

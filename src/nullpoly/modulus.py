@@ -17,39 +17,27 @@ from .polys import Polynomial, reduce_coeffs
 from .primes import prime_factorization as factor
 
 
-def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """Unique x in [0, prod moduli) with x ≡ residues[i] mod moduli[i]."""
-    x, m = 0, 1
-    for r, mi in zip(residues, moduli):
-        t = ((r - x) * pow(m, -1, mi)) % mi
-        x += m * t
-        m *= mi
-    return x % m
-
-
 def crt_combine_poly(parts: Sequence[tuple[Polynomial, int]]) -> Polynomial:
     """Coefficient-wise CRT of (polynomial, modulus) parts.
 
-    The moduli must be >= 2 and pairwise coprime. Shorter parts are padded
-    with zero coefficients; the result is the unique polynomial mod the
-    product of the moduli congruent to each part mod its modulus.
+    The moduli must be >= 2 and pairwise coprime. The result is the unique
+    polynomial mod their product m congruent to each part mod its modulus:
+    sum_i f_i * e_i mod m with the idempotents e_i = (m/q_i) * ((m/q_i)**-1
+    mod q_i), since e_i ≡ 1 (mod q_i) and e_i ≡ 0 mod every other modulus.
     """
     if not parts:
         raise ValueError("need at least one part")
-    moduli = [q for _, q in parts]
     m = 1
-    for q in moduli:
+    for _, q in parts:
         if q < 2:
             raise ValueError(f"CRT modulus {q} must be >= 2")
         if gcd(m, q) != 1:
             raise ValueError(f"CRT moduli must be pairwise coprime: {q} shares a factor with {m}")
         m *= q
-    width = max((len(f.coeffs) for f, _ in parts), default=0)
-    coeffs = []
-    for k in range(width):
-        residues = [f.coeffs[k] if k < len(f.coeffs) else 0 for f, _ in parts]
-        coeffs.append(crt_combine(residues, moduli))
-    return Polynomial(coeffs)
+    total = Polynomial(())
+    for f, q in parts:
+        total = total + f * (m // q * pow(m // q, -1, q))
+    return reduce_coeffs(total, m)
 
 
 def omega1_composite(factors: Sequence[tuple[int, int]]) -> int:

@@ -15,6 +15,9 @@ Every entry point decides the prime case itself and folds before any
 transform: is_null_binomial, and null_order through it when the answer
 can only be 0 or 1; canonical.reduce_degree and canonical.canonical_form
 fold too, so _falling_coords never sees a prime modulus with a long f.
+The top coordinate a_n = n! * c_n of f of degree n is never 0, so f is
+null mod no power of p above v_p(n!) + v_p(c_n): null_order works mod no
+larger power.
 The definitional scan over all m residues is the independent oracle, and
 lives in the tests.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from .polys import Polynomial
-from .primes import is_prime
+from .primes import is_prime, require_prime, vp_factorial
 
 
 def _fold(coeffs: Sequence[int], p: int) -> list[int]:
@@ -82,18 +85,19 @@ def null_order(f: Polynomial, p: int, d_max: int) -> int:
     One transform mod p**d_max: f is null mod p**d iff p**d divides every
     a_k, so the answer is min(d_max, min_k v_p(a_k mod p**d_max)).
 
-    d_max is first clamped to a cap the answer of a nonzero f never
-    reaches, so a huge d_max builds no huge power of p: some a_k, k <= deg,
-    is nonzero, and |a_k| <= 2**deg * sum|c_i| * deg**deg, since a_k is the
-    alternating binomial sum of f(0..k). So v_p(a_k) < deg +
-    (sum|c_i|).bit_length() + deg * deg.bit_length(). The zero polynomial
-    is null mod every p**d and answers max(d_max, 0) at once. A clamped
-    d_max <= 1 is answered by is_null_binomial mod p, which folds.
+    d_max is first clamped to v_p(n!) + v_p(c_n), the valuation of the top
+    coordinate a_n = n! * c_n of f of degree n, which is never 0; so a huge
+    d_max builds no huge power of p, and c * x(x-1)...(x-n+1) attains the
+    clamp. The zero polynomial is null mod every p**d and answers
+    max(d_max, 0) at once. A clamped d_max <= 1 is answered by
+    is_null_binomial mod p, which folds.
     """
+    require_prime(p)
     if not f:
         return max(d_max, 0)
-    deg = f.degree
-    cap = deg + sum(map(abs, f.coeffs)).bit_length() + deg * deg.bit_length()
+    c, cap = f.coeffs[-1], vp_factorial(p, f.degree)
+    while c % p == 0:
+        c, cap = c // p, cap + 1
     order = max(min(d_max, cap), 0)
     if order <= 1:
         return int(order == 1 and is_null_binomial(f, p))

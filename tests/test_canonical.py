@@ -142,8 +142,11 @@ def test_constant_term_lemma():
 
 
 def test_reduce_degree_requires_m_at_least_2():
-    with pytest.raises(ValueError):
-        reduce_degree(X, 1)
+    # canonical_form refuses the same moduli with the same message
+    for m in (1, 0, -4):
+        for fn in (reduce_degree, canonical_form):
+            with pytest.raises(ValueError, match="^modulus must be >= 2$"):
+                fn(X, m)
 
 
 @settings(max_examples=60, deadline=None)

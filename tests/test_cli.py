@@ -123,7 +123,15 @@ def test_enumerate_sorted_and_verified(capsys):
 def test_enumerate_refuses_over_limit(capsys):
     code, _, err = run_cli(capsys, "enumerate", "6", "2", "3", "--limit", "10")
     assert code == 1
-    assert "exceeds" in err
+    assert err == "error: count 2^11 exceeds --limit 10; raise the limit to proceed\n"
+    # E(3000) mod 3^10000 is 2240293: p**E has over a million digits
+    code, out, err = run_cli(capsys, "enumerate", "3000", "3", "10000")
+    assert (code, out) == (1, "")
+    assert err == "error: count 3^2240293 exceeds --limit 10000; raise the limit to proceed\n"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "10000000", "2", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "") and "exceeds --limit 10000" in err
     code, out, _ = run_cli(capsys, "enumerate", "6", "2", "3", "--limit", "3000")
     assert code == 0
     assert len(out.strip().splitlines()) == 2048
@@ -176,6 +184,8 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "construct", "4", "2")
     assert code == 1
+    code, _, err = run_cli(capsys, "order", "x", "4")
+    assert (code, err) == (1, "error: 4 is not prime\n")
     code, _, err = run_cli(capsys, "crt", "x", "2", "x")
     assert code == 2
 

@@ -63,7 +63,8 @@ def test_enumerate_equals_the_papers_layered_null_set():
 
 
 def test_enumerate_rejects_what_count_rejects():
-    others = [lambda n, p, d: list(enumerate_null(p, d, n)), count_monic, count_monic_le]
+    others = [lambda n, p, d: list(enumerate_null(p, d, n)), count_monic, count_monic_le,
+              null_count_exponent]
     for n, p, d in [(3, 4, 2), (3, 2, 0), (-1, 2, 3), (-1, 4, 2), (-1, 2, 2)]:
         with pytest.raises(ValueError) as counted:
             count_null_le(n, p, d)

@@ -82,13 +82,21 @@ def test_null_order_examples():
     assert null_order(X, 2, 5) == 0
 
 
+def test_null_order_refuses_a_modulus_that_is_not_prime():
+    for p in (4, 1, 0, -3):
+        with pytest.raises(ValueError, match="is not prime"):
+            null_order(X, p, 3)
+
+
 def test_null_order_clamps_a_huge_d_max():
     # without the clamp this builds 3**(10**12)
+    h = least_monic_null(5, 200)
     start = time.perf_counter()
     assert null_order(parse_polynomial("x^3-x"), 3, 10 ** 12) == 1
     assert null_order(Polynomial(()), 3, 10 ** 12) == 10 ** 12
     assert null_order(Polynomial(()), 3, -2) == 0
     assert null_order(Polynomial((2 ** 40,)), 2, 10 ** 12) == 40
+    assert null_order(h, 5, 10 ** 6) == 200
     assert time.perf_counter() - start < 1.0
 
 
@@ -198,6 +206,16 @@ def test_null_order_is_the_least_valuation_of_the_newton_coordinates(p, d_max, d
     f = f * p ** data.draw(st.integers(0, 30))
     valuations = [_vp(a, p) for a in newton_coefficients(f) if a]
     assert null_order(f, p, d_max) == min([d_max] + valuations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 60), st.integers(-(10 ** 6), 10 ** 6).filter(bool))
+def test_null_order_attains_the_top_coordinate_bound(p, n, c):
+    # c * x(x-1)...(x-n+1) has the one Newton coordinate a_n = n! * c
+    f = Polynomial((c,))
+    for i in range(n):
+        f = f * Polynomial((-i, 1))
+    assert null_order(f, p, 10 ** 6) == _vp(math.factorial(n), p) + _vp(c, p)
 
 
 @st.composite
