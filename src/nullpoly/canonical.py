@@ -109,14 +109,16 @@ def _newton_coords_by_values(c: list[int], p: int) -> list[int]:
 
 def reduce_degree(f: Polynomial, m: int) -> Polynomial:
     """Equivalent polynomial of degree < mu(m), coefficients in [0, m): the
-    remainder of f by x(x-1)...(x-mu+1) mod m. For a prime m this is the
+    remainder of f by x(x-1)...(x-mu+1) mod m, read off the falling
+    coordinates b_k, which end at k = mu by themselves, so m is not
+    factored. For a prime m this is the
     fold of f by x**m - x, by Lagrange the only polynomial of degree < m
     with f's function, in O(deg), with no factorization and no transform."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if is_prime(m):
         return Polynomial(_fold(f.coeffs, m))
-    b = list(_falling_coords(f.coeffs, m, kempner_mu(m)))
+    b = [b for _, b in _falling_coords(f.coeffs, m)]
     r: list[int] = []
     for k in range(len(b) - 1, -1, -1):
         # r <- r * (x - k) + b_k, Horner's scheme in the falling basis

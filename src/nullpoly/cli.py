@@ -1,4 +1,14 @@
-"""Command-line front end: every operation with text and JSON output."""
+"""Command-line front end: every operation with text and JSON output.
+
+Each subcommand is one handler, _cmd_<name>(args), bound to its subparser.
+A handler takes the parsed arguments alone, prints nothing, and returns
+(lines, body): the text lines, and the JSON body with the keys inputs,
+result, trace and verified. main alone prints: the lines, or under --json
+the body after a "command" key. It maps a refusal to an exit code and one
+"error:" line on stderr: ParseError (unreadable input) 2, ValueError (an
+input out of range or a request over a limit) 1, AssertionError (a failed
+result check) 3.
+"""
 from __future__ import annotations
 
 import argparse
@@ -63,7 +73,7 @@ def _prime_power_str(p: int, d: int) -> str:
     return f"{p}^{d}" if d > 1 else str(p)
 
 
-def _cmd_omega(args, out):
+def _cmd_omega(args):
     m = _parse_modulus(args.m)
     fm = modulus.factor(m)
     w0 = modulus.omega0_composite(fm)
@@ -71,8 +81,7 @@ def _cmd_omega(args, out):
     if not (all(vp_factorial(p, mu) >= d for p, d in fm)
             and any(vp_factorial(p, mu - 1) < d for p, d in fm)):
         raise AssertionError(f"omega1={w1} is not the least t with {m} | t!")
-    out.text(f"omega0={w0} omega1={w1} mu={mu}")
-    out.result(
+    return [f"omega0={w0} omega1={w1} mu={mu}"], dict(
         inputs={"m": m},
         result={"omega0": w0, "omega1": w1, "mu": mu},
         trace=[["factorization", " * ".join(_prime_power_str(p, d) for p, d in fm)]],
@@ -80,7 +89,7 @@ def _cmd_omega(args, out):
     )
 
 
-def _cmd_construct(args, out):
+def _cmd_construct(args):
     p, d = args.p, args.d
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -97,13 +106,15 @@ def _cmd_construct(args, out):
     digits = construct.digit_vector(p, d)
     if not oracle.is_null_binomial(poly, m) or oracle.null_witness(reduce_coeffs(poly, m), m) is not None:
         raise AssertionError("constructed polynomial failed the null oracle")
-    out.text(f"{family}(p={p}, d={d}) modulo {m}:")
-    out.text(f"poly: {format_human(poly)}")
-    out.text(f"coeffs: {format_csv(poly)}")
-    out.text(f"degree: {poly.degree}")
-    out.text(f"digits: {list(digits)}")
-    out.text("verified: null (eval + newton oracles)")
-    out.result(
+    lines = [
+        f"{family}(p={p}, d={d}) modulo {m}:",
+        f"poly: {format_human(poly)}",
+        f"coeffs: {format_csv(poly)}",
+        f"degree: {poly.degree}",
+        f"digits: {list(digits)}",
+        "verified: null (eval + newton oracles)",
+    ]
+    return lines, dict(
         inputs={"p": p, "d": d, "family": family},
         result={
             "polynomial": _poly_json(poly),
@@ -116,7 +127,7 @@ def _cmd_construct(args, out):
     )
 
 
-def _cmd_check_null(args, out):
+def _cmd_check_null(args):
     f = parse_polynomial(args.poly)
     m = _parse_modulus(args.m)
     verdicts = {}
@@ -133,10 +144,10 @@ def _cmd_check_null(args, out):
     if not is_null and witness is None:
         witness = oracle.null_witness(f, m)
     if is_null:
-        out.text(f"NULL (verified: {', '.join(verdicts)})")
+        line = f"NULL (verified: {', '.join(verdicts)})"
     else:
-        out.text(f"NOT NULL (witness x={witness}: f({witness}) = {f.eval_mod(witness, m)} mod {m})")
-    out.result(
+        line = f"NOT NULL (witness x={witness}: f({witness}) = {f.eval_mod(witness, m)} mod {m})"
+    return [line], dict(
         inputs={"polynomial": _poly_json(f), "m": m, "method": args.method},
         result={"null": is_null, "witness": witness},
         trace=[[k, v] for k, v in verdicts.items()],
@@ -144,14 +155,13 @@ def _cmd_check_null(args, out):
     )
 
 
-def _cmd_order(args, out):
+def _cmd_order(args):
     f = parse_polynomial(args.poly)
     p = args.p
     order = oracle.null_order(f, p, args.max)
     capped = order == args.max
     suffix = f" (capped at --max {args.max})" if capped else ""
-    out.text(f"order={order}{suffix}")
-    out.result(
+    return [f"order={order}{suffix}"], dict(
         inputs={"polynomial": _poly_json(f), "p": p, "max": args.max},
         result={"order": order, "capped": capped},
         trace=None,
@@ -159,7 +169,7 @@ def _cmd_order(args, out):
     )
 
 
-def _cmd_equiv(args, out):
+def _cmd_equiv(args):
     f = parse_polynomial(args.f)
     g = parse_polynomial(args.g)
     m = _parse_modulus(args.m)
@@ -169,10 +179,12 @@ def _cmd_equiv(args, out):
     same = cf == cg
     if same != (oracle.null_witness(f - g, m) is None):
         raise AssertionError("canonical form disagrees with the evaluation window")
-    out.text(("EQUIVALENT" if same else "NOT EQUIVALENT") + f" modulo {m}")
-    out.text(f"canonical(f): {','.join(map(str, cf.a))}")
-    out.text(f"canonical(g): {','.join(map(str, cg.a))}")
-    out.result(
+    lines = [
+        ("EQUIVALENT" if same else "NOT EQUIVALENT") + f" modulo {m}",
+        f"canonical(f): {','.join(map(str, cf.a))}",
+        f"canonical(g): {','.join(map(str, cg.a))}",
+    ]
+    return lines, dict(
         inputs={"f": _poly_json(f), "g": _poly_json(g), "m": m},
         result={
             "equivalent": same,
@@ -184,7 +196,7 @@ def _cmd_equiv(args, out):
     )
 
 
-def _cmd_reduce(args, out):
+def _cmd_reduce(args):
     f = parse_polynomial(args.poly)
     m = _parse_modulus(args.m)
     _check_mu(m)
@@ -193,10 +205,12 @@ def _cmd_reduce(args, out):
     x = oracle.null_witness(f - r, m)
     if x is not None:
         raise AssertionError(f"reduction changed the function at x={x}")
-    out.text(f"reduced: {format_human(r)}")
-    out.text(f"coeffs: {format_csv(r)}")
-    out.text(f"canonical: {','.join(map(str, cf.a))}")
-    out.result(
+    lines = [
+        f"reduced: {format_human(r)}",
+        f"coeffs: {format_csv(r)}",
+        f"canonical: {','.join(map(str, cf.a))}",
+    ]
+    return lines, dict(
         inputs={"polynomial": _poly_json(f), "m": m},
         result={"reduced": _poly_json(r), "canonical": list(cf.a)},
         trace=None,
@@ -204,7 +218,7 @@ def _cmd_reduce(args, out):
     )
 
 
-def _cmd_count(args, out):
+def _cmd_count(args):
     n, p, d = args.n, args.p, args.d
     if args.monic:
         res = counting.count_monic(n, p, d)
@@ -225,10 +239,8 @@ def _cmd_count(args, out):
             raise AssertionError(f"count {res.value} != enumerated {got}")
         verified = True
     shown = res.trace[-1][1]  # the value, or its formula once it is too long to print
-    out.text(f"{label} = {shown}")
-    for tag, val in res.trace:
-        out.text(f"  {tag} = {val}")
-    out.result(
+    lines = [f"{label} = {shown}"] + [f"  {tag} = {val}" for tag, val in res.trace]
+    return lines, dict(
         inputs={"n": n, "p": p, "d": d, "monic": args.monic},
         result={
             "count": shown if isinstance(shown, int) else None,
@@ -240,7 +252,7 @@ def _cmd_count(args, out):
     )
 
 
-def _cmd_enumerate(args, out):
+def _cmd_enumerate(args):
     n, p, d = args.n, args.p, args.d
     e = counting.null_count_exponent(n, p, d)
     if not _count_at_most(p, e, args.limit):
@@ -253,9 +265,7 @@ def _cmd_enumerate(args, out):
     for f in polys:
         if not oracle.is_null_binomial(f, pd):
             raise AssertionError(f"enumerated polynomial is not null: {f}")
-    for f in polys:
-        out.text(format_csv(f))
-    out.result(
+    return [format_csv(f) for f in polys], dict(
         inputs={"n": n, "p": p, "d": d, "limit": args.limit},
         result={"count": total, "polynomials": [_poly_json(f) for f in polys]},
         trace=None,
@@ -263,7 +273,7 @@ def _cmd_enumerate(args, out):
     )
 
 
-def _cmd_crt(args, out):
+def _cmd_crt(args):
     items = args.parts
     if len(items) < 2 or len(items) % 2:
         raise ParseError("crt expects pairs: <poly> <p^d> [<poly> <p^d> ...]")
@@ -276,10 +286,12 @@ def _cmd_crt(args, out):
     for f, p, d in parts:
         if reduce_coeffs(combined - f, p ** d):
             raise AssertionError(f"combined polynomial not congruent mod {_prime_power_str(p, d)}")
-    out.text(f"modulus: {m}")
-    out.text(f"combined: {format_human(combined)}")
-    out.text(f"coeffs: {format_csv(combined)}")
-    out.result(
+    lines = [
+        f"modulus: {m}",
+        f"combined: {format_human(combined)}",
+        f"coeffs: {format_csv(combined)}",
+    ]
+    return lines, dict(
         inputs={
             "parts": [
                 {"polynomial": _poly_json(f), "prime_power": _prime_power_str(p, d)}
@@ -292,46 +304,6 @@ def _cmd_crt(args, out):
     )
 
 
-class _Output:
-    def __init__(self, json_mode: bool, command: str):
-        self.json_mode = json_mode
-        self.command = command
-        self.lines: list[str] = []
-        self.payload: dict | None = None
-
-    def text(self, line: str) -> None:
-        self.lines.append(line)
-
-    def result(self, inputs, result, trace, verified) -> None:
-        self.payload = {
-            "command": self.command,
-            "inputs": inputs,
-            "result": result,
-            "trace": trace,
-            "verified": verified,
-        }
-
-    def emit(self) -> None:
-        if self.json_mode:
-            print(json.dumps(self.payload, indent=2))
-        else:
-            for line in self.lines:
-                print(line)
-
-
-_HANDLERS = {
-    "omega": _cmd_omega,
-    "construct": _cmd_construct,
-    "check-null": _cmd_check_null,
-    "order": _cmd_order,
-    "equiv": _cmd_equiv,
-    "reduce": _cmd_reduce,
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "crt": _cmd_crt,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nullpoly",
@@ -339,67 +311,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("omega", help="least null-polynomial degrees and mu")
+    def command(name, run, help):
+        s = sub.add_parser(name, help=help)
+        s.set_defaults(run=run)
+        return s
+
+    s = command("omega", _cmd_omega, "least null-polynomial degrees and mu")
     s.add_argument("m")
 
-    s = sub.add_parser("construct", help="build a null polynomial family member")
+    s = command("construct", _cmd_construct, "build a null polynomial family member")
     s.add_argument("p", type=int)
     s.add_argument("d", type=int)
     s.add_argument("--family", choices=["G", "H", "kempner"], default="H")
 
-    s = sub.add_parser("check-null", help="test whether a polynomial is null mod m")
+    s = command("check-null", _cmd_check_null, "test whether a polynomial is null mod m")
     s.add_argument("poly")
     s.add_argument("m")
     s.add_argument("--method", choices=["eval", "binomial", "both"], default="both")
 
-    s = sub.add_parser("order", help="largest d with f null mod p^d")
+    s = command("order", _cmd_order, "largest d with f null mod p^d")
     s.add_argument("poly")
     s.add_argument("p", type=int)
     s.add_argument("--max", type=int, default=64)
 
-    s = sub.add_parser("equiv", help="test function equality mod m")
+    s = command("equiv", _cmd_equiv, "test function equality mod m")
     s.add_argument("f")
     s.add_argument("g")
     s.add_argument("m")
 
-    s = sub.add_parser("reduce", help="equivalent polynomial of degree < mu(m)")
+    s = command("reduce", _cmd_reduce, "equivalent polynomial of degree < mu(m)")
     s.add_argument("poly")
     s.add_argument("m")
 
-    s = sub.add_parser("count", help="count null polynomials of degree <= n")
+    s = command("count", _cmd_count, "count null polynomials of degree <= n")
     s.add_argument("n", type=int)
     s.add_argument("p", type=int)
     s.add_argument("d", type=int)
     s.add_argument("--monic", action="store_true")
 
-    s = sub.add_parser("enumerate", help="list null polynomials of degree <= n")
+    s = command("enumerate", _cmd_enumerate, "list null polynomials of degree <= n")
     s.add_argument("n", type=int)
     s.add_argument("p", type=int)
     s.add_argument("d", type=int)
     s.add_argument("--limit", type=int, default=10000)
 
-    s = sub.add_parser("crt", help="combine per-prime-power polynomials")
+    s = command("crt", _cmd_crt, "combine per-prime-power polynomials")
     s.add_argument("parts", nargs="+", metavar="poly p^d")
 
     return parser
 
 
+# The exit code of a refusal, by the first type it is an instance of.
+_EXIT_CODES = ((ParseError, 2), (ValueError, 1), (AssertionError, 3))
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    json_mode = "--json" in argv
-    argv = [a for a in argv if a != "--json"]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = _Output(json_mode, args.command)
+    args = build_parser().parse_args([a for a in argv if a != "--json"])
     try:
-        _HANDLERS[args.command](args, out)
-    except ParseError as e:
+        lines, body = args.run(args)
+    except (ValueError, AssertionError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    out.emit()
+        return next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
+    if "--json" in argv:
+        print(json.dumps({"command": args.command, **body}, indent=2))
+    else:
+        for line in lines:
+            print(line)
     return 0
 
 

@@ -5,7 +5,8 @@ coordinate (forward difference at 0). f is null mod m iff every
 a_k ≡ 0 (mod m) (Singmaster 1974): a term's values are a_k * C(x, k), and
 a_k is a Z-combination of f(0..k). From the first k with k! ≡ 0 (mod m),
 k = mu(m), every a_k ≡ 0, so a scan stops there without factoring m.
-_falling_coords gives b_k mod m by synthetic division, with no evaluations.
+_falling_coords gives k! and b_k mod m by synthetic division, with no
+evaluations, and stops there by itself.
 A prime m needs no transform for nullity. _fold folds f by x**m - x, the
 paper's null polynomial: every x**k with k >= m goes onto x**(k-m+1),
 leaving degree < m, and f and its fold are the same function mod m. By
@@ -38,32 +39,31 @@ def _fold(coeffs: Sequence[int], p: int) -> list[int]:
     return [coeffs[0] % p] + [sum(coeffs[j::p - 1]) % p for j in range(1, min(len(coeffs), p))]
 
 
-def _falling_coords(coeffs: Sequence[int], m: int, stop: int) -> Iterator[int]:
-    """Yield b_k mod m, k < min(len(coeffs), stop), where
-    sum_i coeffs[i] * x**i = sum_k b_k * x(x-1)...(x-k+1): step k divides
+def _falling_coords(coeffs: Sequence[int], m: int) -> Iterator[tuple[int, int]]:
+    """Yield (k! mod m, b_k mod m), where
+    sum_i coeffs[i] * x**i = sum_k b_k * x(x-1)...(x-k+1), for k < len(coeffs),
+    ending at the first k with k! ≡ 0 (mod m), k = mu(m): from there every
+    term is null, and the end is found without factoring m. Step k divides
     the quotient left by step k-1 by (x - k) in place, with remainder b_k.
-    Cost: O(deg * min(deg, stop)) multiply-adds by small ints; callers
-    with a prime m fold f first (module docstring)."""
+    Cost: O(deg * min(deg, mu)) multiply-adds by small ints; callers with a
+    prime m fold f first (module docstring)."""
     c = [a % m for a in coeffs]
-    for k in range(min(len(c), stop)):
+    fact = 1 % m
+    for k in range(len(c)):
+        if not fact:
+            return
         acc = 0
         for i in range(len(c) - 1, k - 1, -1):
             acc = (c[i] + k * acc) % m
             c[i] = acc
-        yield acc
+        yield fact, acc
+        fact = fact * (k + 1) % m
 
 
 def _newton_coords(coeffs: Sequence[int], m: int) -> Iterator[int]:
-    """Yield a_k = k! * b_k mod m for k < min(deg + 1, mu(m)): the scan ends
-    early at the first k with k! ≡ 0 (mod m), k = mu(m), past which every
-    a_k is 0."""
-    fact = 1 % m
-    for k, b in enumerate(_falling_coords(coeffs, m, len(coeffs))):
-        if k:
-            fact = fact * k % m
-        if not fact:
-            return
-        yield fact * b % m
+    """Yield a_k = k! * b_k mod m for k < min(deg + 1, mu(m)); past mu(m)
+    every a_k is 0."""
+    return (fact * b % m for fact, b in _falling_coords(coeffs, m))
 
 
 def is_null_binomial(f: Polynomial, m: int) -> bool:

@@ -149,6 +149,15 @@ def test_reduce_degree_requires_m_at_least_2():
                 fn(X, m)
 
 
+def test_reduce_degree_does_not_factor_the_modulus():
+    # rho cannot split this semiprime in its budget; the transform ends at
+    # deg f + 1 < mu(m) without knowing mu(m)
+    m = (10 ** 18 + 3) * (10 ** 18 + 9)
+    start = time.perf_counter()
+    assert reduce_degree(parse_polynomial("x^2+1"), m) == parse_polynomial("x^2+1")
+    assert time.perf_counter() - start < 0.1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 300), st.data())
 def test_reduce_degree_is_the_basis_remainder(m, data):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from nullpoly import oracle
 from nullpoly.cli import main
 from nullpoly.polys import Polynomial, parse_polynomial
 
@@ -177,7 +178,9 @@ def test_order_answers_a_huge_max_at_once(capsys):
     assert payload["result"] == {"order": 1, "capped": False}
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
+    # 0 answered, 1 refused input, 2 unreadable input, 3 failed result check
+    assert run_cli(capsys, "omega", "8")[0] == 0
     code, _, err = run_cli(capsys, "check-null", "x^+oops", "8")
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "omega", "1")
@@ -188,6 +191,11 @@ def test_exit_codes(capsys):
     assert (code, err) == (1, "error: 4 is not prime\n")
     code, _, err = run_cli(capsys, "crt", "x", "2", "x")
     assert code == 2
+    # a failed result check: no traceback, one error line, nothing on stdout
+    monkeypatch.setattr(oracle, "null_witness", lambda f, m: 0)
+    for flags in ((), ("--json",)):
+        code, out, err = run_cli(capsys, *flags, "reduce", "x", "7")
+        assert (code, out, err) == (3, "", "error: reduction changed the function at x=0\n")
 
 
 def test_json_polynomials_round_trip_everywhere(capsys):
@@ -267,3 +275,94 @@ def test_cli_import_loads_neither_dataclasses_nor_typing():
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# Exact stdout, stderr and exit code: one text and one --json run of every
+# subcommand, and the three refusals the cli benchmark asks.
+TEXT_RUNS = [
+    (("omega", "12"), "omega0=2 omega1=4 mu=4\n"),
+    (("construct", "2", "2"),
+     "H(p=2, d=2) modulo 4:\npoly: x^4-2x^3+x^2\ncoeffs: 0,0,1,-2,1\ndegree: 4\ndigits: [2]\n"
+     "verified: null (eval + newton oracles)\n"),
+    (("check-null", "x^2-x", "2"), "NULL (verified: eval, binomial)\n"),
+    (("order", "x^2-x", "2"), "order=1\n"),
+    (("equiv", "x^3", "x", "3"), "EQUIVALENT modulo 3\ncanonical(f): 0,1,0\ncanonical(g): 0,1,0\n"),
+    (("reduce", "x^3", "4"), "reduced: x^3\ncoeffs: 0,0,0,1\ncanonical: 0,1,2,2\n"),
+    (("count", "3", "2", "2"),
+     "N_np(<=3, 2^2) = 4\n  modulus = 2^2\n  least_monic_degree = 4\n  count-exponent = 2\n  count = 4\n"),
+    (("enumerate", "2", "2", "1"), "0\n0,1,1\n"),
+    (("crt", "x", "2", "x^2", "3"), "modulus: 6\ncombined: 4x^2+3x\ncoeffs: 0,3,4\n"),
+]
+
+X2_MINUS_X = {"coeffs": "0,-1,1", "human": "x^2-x"}
+X3 = {"coeffs": "0,0,0,1", "human": "x^3"}
+
+JSON_RUNS = [
+    (("omega", "12"), {
+        "command": "omega", "inputs": {"m": 12}, "result": {"omega0": 2, "omega1": 4, "mu": 4},
+        "trace": [["factorization", "2^2 * 3"]], "verified": True}),
+    (("construct", "2", "2"), {
+        "command": "construct", "inputs": {"p": 2, "d": 2, "family": "H"},
+        "result": {"polynomial": {"coeffs": "0,0,1,-2,1", "human": "x^4-2x^3+x^2"},
+                   "modulus": 4, "degree": 4, "digits": [2]},
+        "trace": None, "verified": True}),
+    (("check-null", "x^2-x", "2"), {
+        "command": "check-null", "inputs": {"polynomial": X2_MINUS_X, "m": 2, "method": "both"},
+        "result": {"null": True, "witness": None},
+        "trace": [["eval", True], ["binomial", True]], "verified": True}),
+    (("order", "x^2-x", "2"), {
+        "command": "order", "inputs": {"polynomial": X2_MINUS_X, "p": 2, "max": 64},
+        "result": {"order": 1, "capped": False}, "trace": None, "verified": None}),
+    (("equiv", "x^3", "x", "3"), {
+        "command": "equiv", "inputs": {"f": X3, "g": {"coeffs": "0,1", "human": "x"}, "m": 3},
+        "result": {"equivalent": True, "canonical_f": [0, 1, 0], "canonical_g": [0, 1, 0]},
+        "trace": None, "verified": True}),
+    (("reduce", "x^3", "4"), {
+        "command": "reduce", "inputs": {"polynomial": X3, "m": 4},
+        "result": {"reduced": X3, "canonical": [0, 1, 2, 2]}, "trace": None, "verified": True}),
+    (("count", "3", "2", "2"), {
+        "command": "count", "inputs": {"n": 3, "p": 2, "d": 2, "monic": False},
+        "result": {"count": 4, "count_str": "4", "p_exponent": 2},
+        "trace": [["modulus", "2^2"], ["least_monic_degree", "4"], ["count-exponent", "2"], ["count", "4"]],
+        "verified": True}),
+    (("enumerate", "2", "2", "1"), {
+        "command": "enumerate", "inputs": {"n": 2, "p": 2, "d": 1, "limit": 10000},
+        "result": {"count": 2, "polynomials": [{"coeffs": "0", "human": "0"},
+                                               {"coeffs": "0,1,1", "human": "x^2+x"}]},
+        "trace": None, "verified": True}),
+    (("crt", "x", "2", "x^2", "3"), {
+        "command": "crt",
+        "inputs": {"parts": [{"polynomial": {"coeffs": "0,1", "human": "x"}, "prime_power": "2"},
+                             {"polynomial": {"coeffs": "0,0,1", "human": "x^2"}, "prime_power": "3"}]},
+        "result": {"modulus": 6, "combined": {"coeffs": "0,3,4", "human": "4x^2+3x"}},
+        "trace": None, "verified": True}),
+]
+
+REFUSED_RUNS = [
+    (("count", "5", "4", "2"), 1, "error: 4 is not prime\n"),
+    (("check-null", "x^^3+1", "7"), 2, "error: bad polynomial text at '^^3+1'\n"),
+    (("enumerate", "10", "2", "3", "--limit", "20"), 1,
+     "error: count 2^23 exceeds --limit 20; raise the limit to proceed\n"),
+]
+
+
+def test_every_subcommand_has_a_rendering_case():
+    names = {argv[0] for argv, _ in TEXT_RUNS}
+    assert names == {argv[0] for argv, _ in JSON_RUNS} and len(names) == 9
+
+
+@pytest.mark.parametrize("argv, out", TEXT_RUNS, ids=[argv[0] for argv, _ in TEXT_RUNS])
+def test_text_rendering(capsys, argv, out):
+    assert run_cli(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, payload", JSON_RUNS, ids=[argv[0] for argv, _ in JSON_RUNS])
+def test_json_rendering(capsys, argv, payload):
+    # dumps reproduces the key order of the literal and the two-space indent
+    assert run_cli(capsys, "--json", *argv) == (0, json.dumps(payload, indent=2) + "\n", "")
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("argv, code, err", REFUSED_RUNS, ids=[argv[0] for argv, _, _ in REFUSED_RUNS])
+def test_refusal_rendering(capsys, flags, argv, code, err):
+    assert run_cli(capsys, *flags, *argv) == (code, "", err)

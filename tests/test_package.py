@@ -1,6 +1,7 @@
 """The package's public surface, its import layering, and the rule that
 result checks in src/ survive ``python -O``."""
 import ast
+import importlib
 import re
 from graphlib import TopologicalSorter
 from pathlib import Path
@@ -47,6 +48,39 @@ def test_every_name_the_bench_worker_calls_is_public():
     called = set(re.findall(r"\bnp\.(\w+)", (ROOT / "bench" / "worker.py").read_text()))
     assert len(called) == 15
     assert called <= set(nullpoly.__all__)
+
+
+def test_what_the_bench_harness_reads_exists():
+    # the tracer and the worker read bench/ as text here, so a rename in src/
+    # fails this test instead of zeroing rows of the traced run
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    spans = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if getattr(target, "id", None) in ("MODULES", "_METHODS")
+    }
+    for name in spans["MODULES"]:
+        importlib.import_module(f"nullpoly.{name}")
+    for method in spans["_METHODS"]:
+        assert callable(getattr(nullpoly.Polynomial, method, None)), method
+    worker = (ROOT / "bench" / "worker.py").read_text()
+    plain = worker[worker.index("def plain("):worker.index("\ndef ", worker.index("def plain("))]
+    # plain's x.factors branch read the factorization record; factor now
+    # returns (p, d) pairs, which plain reads as tuples
+    assert set(re.findall(r"\bx\.(\w+)", plain)) == {"coeffs", "value", "p_exponent", "factors", "a"}
+    assert nullpoly.factor(12) == [(2, 2), (3, 1)]
+    f = nullpoly.Polynomial([1, 0, 1])
+    carriers = {
+        "coeffs": [nullpoly.least_monic_null(2, 3), nullpoly.reduce_degree(f, 6),
+                   *nullpoly.enumerate_null(2, 2, 3)],
+        "value": [nullpoly.count_null_le(3, 2, 2), nullpoly.count_monic(4, 2, 2),
+                  nullpoly.count_monic_le(4, 2, 2)],
+        "a": [nullpoly.canonical_form(f, 6)],
+    }
+    carriers["p_exponent"] = carriers["value"]
+    for attr, results in carriers.items():
+        for result in results:
+            assert hasattr(result, attr), (attr, type(result).__name__)
 
 
 def test_intra_package_imports_are_layered():
