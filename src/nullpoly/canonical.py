@@ -42,10 +42,6 @@ class CanonicalForm(Record):
 
     __slots__ = ("m", "a")
 
-    def __init__(self, m: int, a: tuple[int, ...]):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", a)
-
 
 def _product_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """Coefficients mod p of the product of two nonempty lists of residues

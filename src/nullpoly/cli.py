@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import prod
 
@@ -91,8 +92,7 @@ def _cmd_omega(args):
 
 def _cmd_construct(args):
     p, d = args.p, args.d
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    digits = construct.digit_vector(p, d)  # refuses a p that is not prime, then d < 1
     family = args.family
     if family == "H":
         poly = construct.least_monic_null(p, d)
@@ -103,7 +103,6 @@ def _cmd_construct(args):
     else:
         poly = modulus.kempner_basis(p ** d)
         m = p ** d
-    digits = construct.digit_vector(p, d)
     if not oracle.is_null_binomial(poly, m) or oracle.null_witness(reduce_coeffs(poly, m), m) is not None:
         raise AssertionError("constructed polynomial failed the null oracle")
     lines = [
@@ -370,14 +369,19 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args([a for a in argv if a != "--json"])
     try:
         lines, body = args.run(args)
+        if "--json" in argv:
+            lines = [json.dumps({"command": args.command, **body}, indent=2)]
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: keep the interpreter's exit flush quiet and
+        # report what a shell reports for a writer stopped by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, AssertionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
-    if "--json" in argv:
-        print(json.dumps({"command": args.command, **body}, indent=2))
-    else:
-        for line in lines:
-            print(line)
     return 0
 
 

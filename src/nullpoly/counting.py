@@ -1,7 +1,7 @@
 """Count and enumerate null polynomials of bounded degree mod p**d.
 
 Write f = sum_k b_k * x(x-1)...(x-k+1). f is null mod p**d iff
-p**(d - e_k) divides b_k for every k, where e_k = min(d, v_p(k!)): the
+p**(d - e_k) divides b_k for every k, where p**e_k = gcd(p**d, k!): the
 term's values are k! * b_k * C(x, k), and the Newton coordinate k! * b_k
 is a Z-combination of f(0..k) (Singmaster 1974; Keller and Olson 1968).
 The falling factorials are monic, so the null polynomials of degree <= n
@@ -33,11 +33,12 @@ theorem) and the digit-block count below omega1, lives in the tests
 from __future__ import annotations
 
 from collections.abc import Iterator
+from math import gcd
 
 from ._record import Record
 from .construct import omega1_prime_power
 from .polys import Polynomial
-from .primes import require_prime, vp_factorial
+from .primes import require_prime
 
 # Counts and factors from this value on are shown as their formula, so no
 # trace or CLI line converts an integer of thousands of digits to decimal.
@@ -45,17 +46,10 @@ _DISPLAY_LIMIT = 10 ** 40
 
 
 class CountResult(Record):
-    __slots__ = ("value", "p_exponent", "trace")
+    """A count: its value, p_exponent E when the value is exactly p**E
+    (else None), and its trace of (tag, value) rows."""
 
-    def __init__(
-        self,
-        value: int,
-        p_exponent: int | None,  # E when value is exactly p**E, else None
-        trace: tuple[tuple[str, object], ...],
-    ):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "p_exponent", p_exponent)
-        object.__setattr__(self, "trace", trace)
+    __slots__ = ("value", "p_exponent", "trace")
 
 
 def _check_args(n: int, p: int, d: int) -> None:
@@ -70,8 +64,9 @@ def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
     """Yield every null polynomial of degree <= n mod p**d exactly once.
 
     A mixed-radix odometer over one flat coefficient list. Each k <= n with
-    e_k = min(d, v_p(k!)) > 0 owns a digit of radix p**e_k and a row,
-    p**(d - e_k) * x(x-1)...(x-k+1) reduced mod p**d; k runs upward, so the
+    g_k = gcd(p**d, k!) = p**e_k > 1 owns a digit of radix g_k and a row,
+    (p**d // g_k) * x(x-1)...(x-k+1) reduced mod p**d. One running
+    quantity gives both: g_k = gcd(p**d, g_{k-1} * k). k runs upward, so the
     fastest digit has the shortest row. Advancing a digit adds its row to
     the list in place, mod p**d. Since radix * row ≡ 0 (mod p**d), a digit
     that wraps to 0 just adds its row once more and carries, so the
@@ -87,14 +82,15 @@ def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
     rows: list[tuple[tuple[int, int], ...]] = []  # sparse (index, coeff)
     radices: list[int] = []
     falling = [1]  # x(x-1)...(x-k+1) mod p**d, ascending
+    g = 1  # gcd(p**d, k!)
     for k in range(1, n + 1):
         falling = [(lo - (k - 1) * hi) % pd for lo, hi in zip([0] + falling, falling + [0])]
-        e = min(d, vp_factorial(p, k))
-        if e:
-            scale = p ** (d - e)
+        g = gcd(pd, g * k)
+        if g > 1:
+            scale = pd // g
             row = [(i, c * scale % pd) for i, c in enumerate(falling)]
             rows.append(tuple((i, c) for i, c in row if c))
-            radices.append(p ** e)
+            radices.append(g)
     acc = [0] * (n + 1)
     digits = [0] * len(rows)
     while True:

@@ -1,7 +1,7 @@
 """Exact integer polynomial arithmetic and coefficient-wise modular reduction.
 
-Polynomials are immutable and carry arbitrary-precision integer coefficients
-stored ascending by degree; the zero polynomial is the empty coefficient
+A polynomial is a record whose one field is its tuple of arbitrary-precision
+integer coefficients, ascending by degree. The zero polynomial is the empty
 tuple and reports degree ``None`` (a nonzero constant has degree 0, which is
 a different thing and must stay distinguishable for the counting code).
 """
@@ -10,12 +10,14 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 
+from ._record import Record
+
 
 class ParseError(ValueError):
     """Raised when a polynomial text form cannot be parsed."""
 
 
-class Polynomial:
+class Polynomial(Record):
     """An integer polynomial, ``coeffs[k]`` being the coefficient of x**k."""
 
     __slots__ = ("coeffs",)
@@ -29,12 +31,6 @@ class Polynomial:
             c = c[:n]
         _set_coeffs(self, c)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        return Polynomial, (self.coeffs,)
-
     @property
     def degree(self) -> int | None:
         """Degree over the integers; None for the zero polynomial."""
@@ -42,12 +38,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs

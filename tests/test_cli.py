@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -187,6 +189,9 @@ def test_exit_codes(capsys, monkeypatch):
     assert code == 1
     code, _, err = run_cli(capsys, "construct", "4", "2")
     assert code == 1
+    # p is checked before d, and before anything is built
+    code, _, err = run_cli(capsys, "construct", "4", "0")
+    assert (code, err) == (1, "error: 4 is not prime\n")
     code, _, err = run_cli(capsys, "order", "x", "4")
     assert (code, err) == (1, "error: 4 is not prime\n")
     code, _, err = run_cli(capsys, "crt", "x", "2", "x")
@@ -267,11 +272,27 @@ def test_reduce_and_equiv_refuse_the_semiprime_by_the_mu_limit(capsys):
         assert err.strip() == f"error: mu({SEMIPRIME}) = {10 ** 9 + 9} exceeds the canonical-form limit 100000"
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in (("count", "3", "2", "2"), ("--json", "omega", "12"), ("enumerate", "7", "3", "1")):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the writer starts
+        try:
+            done = subprocess.run([sys.executable, "-m", "nullpoly.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b""), argv
+
+
 def test_cli_import_loads_neither_dataclasses_nor_typing():
     # -S: no site hook, which may itself import typing
-    src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, nullpoly.cli; print(sorted({'dataclasses', 'typing'} & set(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
@@ -338,12 +359,16 @@ JSON_RUNS = [
         "trace": None, "verified": True}),
 ]
 
-REFUSED_RUNS = [
-    (("count", "5", "4", "2"), 1, "error: 4 is not prime\n"),
-    (("check-null", "x^^3+1", "7"), 2, "error: bad polynomial text at '^^3+1'\n"),
-    (("enumerate", "10", "2", "3", "--limit", "20"), 1,
-     "error: count 2^23 exceeds --limit 20; raise the limit to proceed\n"),
-]
+# by test id: the three the cli benchmark asks, and refusals no other run reaches
+REFUSED_RUNS = {
+    "count": (("count", "5", "4", "2"), 1, "error: 4 is not prime\n"),
+    "check-null": (("check-null", "x^^3+1", "7"), 2, "error: bad polynomial text at '^^3+1'\n"),
+    "enumerate": (("enumerate", "10", "2", "3", "--limit", "20"), 1,
+                  "error: count 2^23 exceeds --limit 20; raise the limit to proceed\n"),
+    "check-null-modulus": (("check-null", "x", "abc"), 2, "error: bad modulus: 'abc'\n"),
+    "check-null-sign": (("check-null", "x x", "7"), 2, "error: missing +/- before 'x'\n"),
+    "construct": (("construct", "2", "0"), 1, "error: d must be >= 1\n"),
+}
 
 
 def test_every_subcommand_has_a_rendering_case():
@@ -363,6 +388,38 @@ def test_json_rendering(capsys, argv, payload):
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
-@pytest.mark.parametrize("argv, code, err", REFUSED_RUNS, ids=[argv[0] for argv, _, _ in REFUSED_RUNS])
+@pytest.mark.parametrize("argv, code, err", REFUSED_RUNS.values(), ids=list(REFUSED_RUNS))
 def test_refusal_rendering(capsys, flags, argv, code, err):
     assert run_cli(capsys, *flags, *argv) == (code, "", err)
+
+
+def _readme_examples():
+    """(argv, exit code, quoted output lines) of every example in README's
+    subcommand table (exit code 0) and exit-code table that is a command."""
+    names = {argv[0] for argv, _ in TEXT_RUNS}
+    examples = []
+    for row in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", row)[1:-1]]
+        if len(cells) != 3:
+            continue
+        if cells[0].isdigit():
+            code, example = int(cells[0]), cells[2]
+        elif cells[0].strip("`") in names:
+            code, example = 0, cells[1]
+        else:
+            continue
+        command, _, quoted = example.partition("→")
+        argv = shlex.split("".join(re.findall(r"`([^`]*)`", command)))
+        if argv and argv[0] in names:
+            examples.append((argv, code, re.findall(r"`([^`]*)`", quoted)))
+    return examples
+
+
+def test_readme_examples_hold(capsys):
+    examples = _readme_examples()
+    assert {argv[0] for argv, code, _ in examples if code == 0} == {argv[0] for argv, _ in TEXT_RUNS}
+    assert {code for _, code, _ in examples} == {0, 1, 2}
+    for argv, code, quoted in examples:
+        got, out, err = run_cli(capsys, *argv)
+        lines = (out + err).splitlines()
+        assert got == code and all(line in lines for line in quoted), (argv, out, err)

@@ -29,7 +29,7 @@ def test_pickle_and_deepcopy_round_trip(record):
         assert repr(copied) == repr(record)
 
 
-@pytest.mark.parametrize("record", _records()[2:], ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_records_are_immutable(record):
     name = record.__slots__[0]
     with pytest.raises(AttributeError):
@@ -58,3 +58,9 @@ def test_records_keep_their_validation():
         factor(1)
     with pytest.raises(ValueError):
         crt_combine_poly([])
+    # a record is built from exactly its fields, in __slots__ order
+    assert CanonicalForm(8, (1,)).m == 8
+    with pytest.raises(TypeError):
+        CanonicalForm(8)
+    with pytest.raises(TypeError):
+        CanonicalForm(8, (1,), 0)
