@@ -103,7 +103,7 @@ def _cmd_construct(args):
     else:
         poly = modulus.kempner_basis(p ** d)
         m = p ** d
-    if not oracle.is_null_binomial(poly, m) or oracle.null_witness(reduce_coeffs(poly, m), m) is not None:
+    if not oracle.is_null_binomial(poly, m):
         raise AssertionError("constructed polynomial failed the null oracle")
     lines = [
         f"{family}(p={p}, d={d}) modulo {m}:",
@@ -111,7 +111,7 @@ def _cmd_construct(args):
         f"coeffs: {format_csv(poly)}",
         f"degree: {poly.degree}",
         f"digits: {list(digits)}",
-        "verified: null (eval + newton oracles)",
+        "verified: null (newton oracle)",
     ]
     return lines, dict(
         inputs={"p": p, "d": d, "family": family},
@@ -129,28 +129,20 @@ def _cmd_construct(args):
 def _cmd_check_null(args):
     f = parse_polynomial(args.poly)
     m = _parse_modulus(args.m)
-    verdicts = {}
-    witness = None
-    if args.method in ("eval", "both"):
-        # the window x < min(m, deg f + 1) is complete: None is a verdict
-        witness = oracle.null_witness(f, m)
-        verdicts["eval"] = witness is None
-    if args.method in ("binomial", "both"):
-        verdicts["binomial"] = oracle.is_null_binomial(f, m)
-    if len(set(verdicts.values())) > 1:
-        raise AssertionError(f"oracle disagreement: {verdicts}")
-    is_null = next(iter(verdicts.values()))
-    if not is_null and witness is None:
-        witness = oracle.null_witness(f, m)
+    is_null = oracle.is_null_binomial(f, m)
+    witness = oracle.null_witness(f, m)
+    trace = [["eval", witness is None], ["binomial", is_null]]
+    if (witness is None) != is_null:
+        raise AssertionError(f"oracle disagreement: {dict(trace)}")
     if is_null:
-        line = f"NULL (verified: {', '.join(verdicts)})"
+        line = "NULL (verified: eval, binomial)"
     else:
         line = f"NOT NULL (witness x={witness}: f({witness}) = {f.eval_mod(witness, m)} mod {m})"
     return [line], dict(
-        inputs={"polynomial": _poly_json(f), "m": m, "method": args.method},
+        inputs={"polynomial": _poly_json(f), "m": m},
         result={"null": is_null, "witness": witness},
-        trace=[[k, v] for k, v in verdicts.items()],
-        verified=len(verdicts) == 2 or None,
+        trace=trace,
+        verified=True,
     )
 
 
@@ -200,7 +192,7 @@ def _cmd_reduce(args):
     m = _parse_modulus(args.m)
     _check_mu(m)
     r = canonical.reduce_degree(f, m)
-    cf = canonical.canonical_form(f, m)
+    cf = canonical.canonical_form(r, m)
     x = oracle.null_witness(f - r, m)
     if x is not None:
         raise AssertionError(f"reduction changed the function at x={x}")
@@ -261,6 +253,8 @@ def _cmd_enumerate(args):
     total = p ** e
     pd = p ** d
     polys = sorted(counting.enumerate_null(p, d, n), key=lambda f: f.coeffs)
+    if len(polys) != total or any(f.coeffs == g.coeffs for f, g in zip(polys, polys[1:])):
+        raise AssertionError(f"enumerated {len(polys)} polynomials, not {total} distinct ones")
     for f in polys:
         if not oracle.is_null_binomial(f, pd):
             raise AssertionError(f"enumerated polynomial is not null: {f}")
@@ -326,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = command("check-null", _cmd_check_null, "test whether a polynomial is null mod m")
     s.add_argument("poly")
     s.add_argument("m")
-    s.add_argument("--method", choices=["eval", "binomial", "both"], default="both")
 
     s = command("order", _cmd_order, "largest d with f null mod p^d")
     s.add_argument("poly")

@@ -23,7 +23,9 @@ E(n) = sum_{k<=n} min(d, v_p(k!)), found in O(log_p n):
 Each trace is the modulus, omega1, the formula's rows, then the count.
 A count or factor from _DISPLAY_LIMIT on is shown as its formula (p^E,
 (p^A-1)/(p^d-1) or p^E*(p^A-1)/(p^d-1)), never as its digits; the CLI
-prints that last row as its answer.
+prints that last row as its answer. A count that needs a power of p of
+more than _POWER_BITS bits (p**E(n), or p**(E + A) for count_monic_le) is
+refused before anything is built.
 
 The paper's own route to both answers, a sum of layers p**(d-j) * B_j * q_j
 over the least monic null polynomials B_j mod p**j (its enumeration
@@ -33,7 +35,7 @@ theorem) and the digit-block count below omega1, lives in the tests
 from __future__ import annotations
 
 from collections.abc import Iterator
-from math import gcd
+from math import gcd, log2
 
 from ._record import Record
 from .construct import omega1_prime_power
@@ -43,6 +45,8 @@ from .primes import require_prime
 # Counts and factors from this value on are shown as their formula, so no
 # trace or CLI line converts an integer of thousands of digits to decimal.
 _DISPLAY_LIMIT = 10 ** 40
+# The most bits of a power of p a count builds; 3**5292497 takes over 1 s.
+_POWER_BITS = 2 ** 23
 
 
 class CountResult(Record):
@@ -131,6 +135,11 @@ def null_count_exponent(n: int, p: int, d: int) -> int:
     return total
 
 
+def _check_power(p: int, e: int) -> None:
+    if e * log2(p) > _POWER_BITS:
+        raise ValueError(f"count needs {p}^{e}, over the {_POWER_BITS}-bit limit")
+
+
 def _shown(value: int, formula: str) -> int | str:
     return value if value < _DISPLAY_LIMIT else formula
 
@@ -147,6 +156,7 @@ def count_null_le(n: int, p: int, d: int) -> CountResult:
     """Number of null polynomials of degree <= n mod p**d (zero poly
     included): p**E(n)."""
     e = null_count_exponent(n, p, d)
+    _check_power(p, e)
     return _result(p, d, p ** e, e, (("count-exponent", e),), f"{p}^{e}")
 
 
@@ -177,6 +187,7 @@ def count_monic_le(n: int, p: int, d: int) -> CountResult:
         return _result(p, d, 0, None)
     e = null_count_exponent(omega1 - 1, p, d)
     top = d * (n - omega1 + 1)
+    _check_power(p, e + top)
     factor = (p ** top - 1) // (p ** d - 1)
     geometric = f"({p}^{top}-1)/({p}^{d}-1)"
     rows = (("threshold-exponent", e), ("geometric-factor", _shown(factor, geometric)))

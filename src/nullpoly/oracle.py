@@ -19,8 +19,8 @@ fold too, so _falling_coords never sees a prime modulus with a long f.
 The top coordinate a_n = n! * c_n of f of degree n is never 0, so f is
 null mod no power of p above v_p(n!) + v_p(c_n): null_order works mod no
 larger power.
-The definitional scan over all m residues is the independent oracle, and
-lives in the tests.
+null_witness, the independent check, evaluates f on the complete window
+x < min(mu(m), deg f + 1), and stops where _falling_coords does.
 """
 from __future__ import annotations
 
@@ -116,10 +116,14 @@ def null_order(f: Polynomial, p: int, d_max: int) -> int:
 def null_witness(f: Polynomial, m: int) -> int | None:
     """Smallest x >= 0 with f(x) not ≡ 0 (mod m), or None if f is null.
 
-    The window x < min(m, deg f + 1) is complete, so None is a verdict:
-    x < m suffices by periodicity, and x <= deg f because Δ^k f(0) is a
-    Z-combination of f(0..k) and f = sum_k Δ^k f(0) * C(x, k)."""
-    for x in range(min(m, len(f.coeffs))):
-        if f.eval_mod(x, m) != 0:
+    The window x < min(mu(m), deg f + 1) is complete, so None is a verdict:
+    a_k = Δ^k f(0) is a Z-combination of f(0..k), and a_k ≡ 0 from k = mu(m)
+    on. The scan ends at the first x with x! ≡ 0 (mod m), without factoring m."""
+    fact = 1 % m  # x! mod m
+    for x in range(len(f.coeffs)):
+        if not fact:
+            break
+        if f.eval_mod(x, m):
             return x
+        fact = fact * (x + 1) % m
     return None

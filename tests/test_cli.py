@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from nullpoly import oracle
-from nullpoly.cli import main
+from nullpoly import counting, oracle
+from nullpoly.cli import build_parser, main
 from nullpoly.polys import Polynomial, parse_polynomial
 
 
@@ -44,9 +45,9 @@ def test_check_null_text(capsys):
     code, out, _ = run_cli(capsys, "check-null", "x^4-2x^3+3x^2-2x", "8")
     assert code == 0
     assert out.splitlines()[0] == "NULL (verified: eval, binomial)"
-    code, out, _ = run_cli(capsys, "check-null", "x^2-x", "4", "--method", "eval")
+    code, out, _ = run_cli(capsys, "check-null", "x^2-x", "4")
     assert code == 0
-    assert out.startswith("NOT NULL (witness x=2")
+    assert out == "NOT NULL (witness x=2: f(2) = 2 mod 4)\n"
 
 
 def test_check_null_csv_input(capsys):
@@ -121,6 +122,30 @@ def test_enumerate_sorted_and_verified(capsys):
     polys = [parse_polynomial(s) for s in lines]
     keys = [f.coeffs for f in polys]
     assert keys == sorted(keys)
+
+
+def test_count_refuses_a_power_too_large_to_build(capsys):
+    # E(10^6) mod 3^(10^6) is 249994082012: 3^E has about 4 * 10^11 bits
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "1000000", "3", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "error: count needs 3^249994082012, over the 8388608-bit limit\n")
+    # monic of degree 10^6 mod 3^10: the count is 3^E(10^6 - 1), with E about 10^7
+    code, out, err = run_cli(capsys, "count", "1000000", "3", "10", "--monic")
+    assert (code, out) == (1, "") and err.endswith(", over the 8388608-bit limit\n")
+    # count_monic_le bounds p^(E + A), E = E(omega1 - 1), A = d * (n - omega1 + 1)
+    with pytest.raises(ValueError, match="over the 8388608-bit limit"):
+        counting.count_monic_le(10 ** 5, 3, 10 ** 4)
+
+
+def test_enumerate_checks_the_count_it_reports(capsys, monkeypatch):
+    # one polynomial twice, in place of another or on top of the list
+    real = counting.enumerate_null
+    for listed in (lambda polys: polys[:-1] + polys[:1], lambda polys: polys + polys[:1]):
+        monkeypatch.setattr(counting, "enumerate_null", lambda p, d, n: iter(listed(list(real(p, d, n)))))
+        code, out, err = run_cli(capsys, "enumerate", "3", "2", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: enumerated ") and err.endswith(", not 4 distinct ones\n")
 
 
 def test_enumerate_refuses_over_limit(capsys):
@@ -236,10 +261,12 @@ def test_check_null_eval_verdict_reads_the_complete_window(capsys):
     assert payload["result"] == {"null": True, "witness": None}
     assert payload["trace"] == [["eval", True], ["binomial", True]]
     assert payload["verified"] is True
-    payload = run_json(capsys, "check-null", "524288x^2-524288x+1", "1048576", "--method", "eval")
+    payload = run_json(capsys, "check-null", "524288x^2-524288x+1", "1048576")
     assert payload["result"] == {"null": False, "witness": 0}
-    payload = run_json(capsys, "check-null", "x^2", "1048576", "--method", "binomial")
+    assert payload["trace"] == [["eval", False], ["binomial", False]]
+    payload = run_json(capsys, "check-null", "x^2", "1048576")
     assert payload["result"] == {"null": False, "witness": 1}
+    assert payload["verified"] is True
 
 
 SEMIPRIME = str((10 ** 9 + 7) * (10 ** 9 + 9))
@@ -304,7 +331,7 @@ TEXT_RUNS = [
     (("omega", "12"), "omega0=2 omega1=4 mu=4\n"),
     (("construct", "2", "2"),
      "H(p=2, d=2) modulo 4:\npoly: x^4-2x^3+x^2\ncoeffs: 0,0,1,-2,1\ndegree: 4\ndigits: [2]\n"
-     "verified: null (eval + newton oracles)\n"),
+     "verified: null (newton oracle)\n"),
     (("check-null", "x^2-x", "2"), "NULL (verified: eval, binomial)\n"),
     (("order", "x^2-x", "2"), "order=1\n"),
     (("equiv", "x^3", "x", "3"), "EQUIVALENT modulo 3\ncanonical(f): 0,1,0\ncanonical(g): 0,1,0\n"),
@@ -328,7 +355,7 @@ JSON_RUNS = [
                    "modulus": 4, "degree": 4, "digits": [2]},
         "trace": None, "verified": True}),
     (("check-null", "x^2-x", "2"), {
-        "command": "check-null", "inputs": {"polynomial": X2_MINUS_X, "m": 2, "method": "both"},
+        "command": "check-null", "inputs": {"polynomial": X2_MINUS_X, "m": 2},
         "result": {"null": True, "witness": None},
         "trace": [["eval", True], ["binomial", True]], "verified": True}),
     (("order", "x^2-x", "2"), {
@@ -423,3 +450,18 @@ def test_readme_examples_hold(capsys):
         got, out, err = run_cli(capsys, *argv)
         lines = (out + err).splitlines()
         assert got == code and all(line in lines for line in quoted), (argv, out, err)
+
+
+def test_readme_options_match_the_parser():
+    # the --options a subcommand's row in README's table names are the
+    # options its subparser takes, -h aside
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    rows = {}
+    for row in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", row)[1:-1]]
+        if len(cells) == 3 and cells[0].strip("`") in subparsers.choices:
+            rows[cells[0].strip("`")] = set(re.findall(r"--[a-z][a-z-]*", row))
+    assert set(rows) == set(subparsers.choices)
+    for name, sub in subparsers.choices.items():
+        options = {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        assert rows[name] == options, name

@@ -10,6 +10,7 @@ from conftest import (
     PRIMES_TO_200,
     brute_least_monic_degree,
     equivalent_eval,
+    eval_vector,
     from_falling,
     is_null_eval,
     newton_coefficients,
@@ -172,9 +173,23 @@ def _mostly_null(draw, moduli, max_degree):
 @given(_mostly_null(st.integers(2, 600), 40))
 def test_newton_and_window_tests_match_the_definition(case):
     f, m = case
-    expected = is_null_eval(f, m)
-    assert is_null_binomial(f, m) == expected
-    assert (null_witness(f, m) is None) == expected
+    first_nonzero = next((x for x, v in enumerate(eval_vector(f, m)) if v), None)
+    assert is_null_binomial(f, m) == (first_nonzero is None)
+    assert null_witness(f, m) == first_nonzero
+
+
+def test_null_witness_stops_at_mu(monkeypatch):
+    # x(x-1)...(x-23) * x^1976 is null mod 2^20 and mu(2^20) = 24: the
+    # window is 24 points, not deg f + 1 = 2001
+    m = 2 ** 20
+    f = kempner_basis(m).shift(1976)
+    calls = []
+    eval_mod = Polynomial.eval_mod
+    monkeypatch.setattr(Polynomial, "eval_mod", lambda self, x, m: calls.append(x) or eval_mod(self, x, m))
+    assert null_witness(f, m) is None
+    assert len(calls) <= kempner_mu(m) == 24
+    # x(x-1)...(x-22) is 0 below 23 and 23! there, with v_2(23!) = 19
+    assert null_witness(f + from_falling([0] * 23 + [1]), m) == 23
 
 
 @settings(max_examples=150, deadline=None)
