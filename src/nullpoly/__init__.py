@@ -8,47 +8,35 @@ canonical form, degree reduction, counting and enumeration all rest on
 the falling-factorial coordinates b_k of f = sum b_k * x(x-1)...(x-k+1)
 (for a prime modulus p, on the fold of f by x**p - x). The paper's own
 formulas that no question needs (the layered enumeration, the digit-block
-count, the scaled tower values) and the brute-force checks live in the
-tests as independent oracles.
+count, the scaled tower values, the reduction of a composite m to its
+prime powers) and the brute-force checks live in the tests as independent
+oracles; tests/test_modulus.py and tests/test_acceptance.py hold the
+reduction to Kempner's mu.
+
+The package exports the functions the benchmark calls; everything else is
+imported from its module, e.g. nullpoly.polys.parse_polynomial.
 """
-from .canonical import CanonicalForm, canonical_form, equivalent, reduce_degree
-from .construct import build_tower, digit_vector, least_monic_null
-from .counting import CountResult, count_monic, count_monic_le, count_null_le, enumerate_null
-from .modulus import (
-    crt_combine_poly,
-    factor,
-    kempner_basis,
-    kempner_mu,
-    least_monic_null_composite,
-    omega0_composite,
-    omega1_composite,
-)
+from .canonical import canonical_form, equivalent, reduce_degree
+from .construct import least_monic_null
+from .counting import count_monic, count_monic_le, count_null_le, enumerate_null
+from .modulus import factor, kempner_mu, omega0_composite, omega1_composite
 from .oracle import is_null_binomial, null_order
-from .polys import ParseError, Polynomial, parse_polynomial
+from .polys import Polynomial
 
 __all__ = [
-    "CanonicalForm",
-    "CountResult",
-    "ParseError",
     "Polynomial",
-    "build_tower",
     "canonical_form",
     "count_monic",
     "count_monic_le",
     "count_null_le",
-    "crt_combine_poly",
-    "digit_vector",
     "enumerate_null",
     "equivalent",
     "factor",
     "is_null_binomial",
-    "kempner_basis",
     "kempner_mu",
     "least_monic_null",
-    "least_monic_null_composite",
     "null_order",
     "omega0_composite",
     "omega1_composite",
-    "parse_polynomial",
     "reduce_degree",
 ]

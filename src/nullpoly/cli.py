@@ -6,8 +6,9 @@ A handler takes the parsed arguments alone, prints nothing, and returns
 result, trace and verified. main alone prints: the lines, or under --json
 the body after a "command" key. It maps a refusal to an exit code and one
 "error:" line on stderr: ParseError (unreadable input) 2, ValueError (an
-input out of range or a request over a limit) 1, AssertionError (a failed
-result check) 3.
+input out of range or a request over a limit) 1, MemoryError (an input
+too large for the memory at hand) 1, AssertionError (a failed result
+check) 3.
 """
 from __future__ import annotations
 
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The exit code of a refusal, by the first type it is an instance of.
-_EXIT_CODES = ((ParseError, 2), (ValueError, 1), (AssertionError, 3))
+_EXIT_CODES = ((ParseError, 2), (ValueError, 1), (MemoryError, 1), (AssertionError, 3))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -372,8 +373,9 @@ def main(argv: list[str] | None = None) -> int:
         # report what a shell reports for a writer stopped by SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, AssertionError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, MemoryError, AssertionError) as e:
+        # str(MemoryError()) is empty
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
     return 0
 

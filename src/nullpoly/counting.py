@@ -91,8 +91,9 @@ def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
         falling = [(lo - (k - 1) * hi) % pd for lo, hi in zip([0] + falling, falling + [0])]
         g = gcd(pd, g * k)
         if g > 1:
+            # c * scale % pd, without dividing a 2d-bit product: pd = g * scale
             scale = pd // g
-            row = [(i, c * scale % pd) for i, c in enumerate(falling)]
+            row = [(i, c % g * scale) for i, c in enumerate(falling)]
             rows.append(tuple((i, c) for i, c in row if c))
             radices.append(g)
     acc = [0] * (n + 1)

@@ -2,17 +2,19 @@
 
 factor(m) is prime_factorization, the sorted (p, d) pairs with product m.
 From them come Kempner's mu(m) = omega1 (the max over the p**d), omega0
-(the least p), the Kempner basis, and the least monic null polynomial mod
-m, combined from the prime-power ones by a coefficient-wise CRT. Nullity
-and the canonical form mod m do not pass through here: they run the
-falling-factorial transform mod m directly.
+(the least p) and the Kempner basis, a least monic null polynomial mod any
+m. Nullity and the canonical form mod m do not pass through here: they
+run the falling-factorial transform mod m directly. The paper's reduction
+of a composite m to its prime powers by CRT is an oracle in
+tests/conftest.py, which tests/test_modulus.py and tests/test_acceptance.py
+hold to Kempner's mu.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import gcd, prod
+from math import gcd
 
-from . import construct, oracle
+from . import construct
 from .polys import Polynomial, reduce_coeffs
 from .primes import prime_factorization as factor
 
@@ -77,21 +79,3 @@ def kempner_basis(m: int) -> Polynomial:
     for i in range(mu):
         f = f * Polynomial((-i, 1))
     return f
-
-
-def least_monic_null_composite(factors: Sequence[tuple[int, int]]) -> Polynomial:
-    """A monic null polynomial mod m of the least possible degree.
-
-    Each factor's least monic null polynomial is padded to the common
-    degree D = omega1_composite by a power of x (multiplying a null
-    polynomial preserves nullity and monicity), then combined by CRT.
-    """
-    target = omega1_composite(factors)
-    parts = []
-    for p, d in factors:
-        h = construct.least_monic_null(p, d)
-        parts.append((reduce_coeffs(h.shift(target - h.degree), p ** d), p ** d))
-    combined = crt_combine_poly(parts)
-    if not oracle.is_null_binomial(combined, prod(q for _, q in parts)):
-        raise AssertionError("combined polynomial failed the null oracle")
-    return combined

@@ -123,16 +123,6 @@ def reduce_coeffs(f: Polynomial, m: int) -> Polynomial:
     return Polynomial(tuple(c % m for c in f.coeffs))
 
 
-def deg_mod(f: Polynomial, m: int) -> int | None:
-    """Largest k with coeffs[k] not ≡ 0 (mod m); None if f ≡ 0 mod m."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    for k in range(len(f.coeffs) - 1, -1, -1):
-        if f.coeffs[k] % m != 0:
-            return k
-    return None
-
-
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-]?)\s*(?:"
     r"(?P<coeff>\d+)\s*\*?\s*(?P<var1>x)(?:\s*\^\s*(?P<exp1>\d+))?"

@@ -3,16 +3,18 @@ test suite.
 
 The library answers each question one way, from falling-factorial
 coordinates. The paper's own formulas that no question needs (the layered
-enumeration theorem, the digit-block count, the scaled tower values) and
-the definitional brute-force checks live here, as the independent oracles
-the tests hold the library to.
+enumeration theorem, the digit-block count, the scaled tower values, the
+reduction of a composite modulus to its prime powers) and the
+definitional brute-force checks live here, as the independent oracles the
+tests hold the library to.
 """
 from itertools import product
 
 from hypothesis import strategies as st
 
 from nullpoly.construct import digit_vector, least_monic_null, repunit
-from nullpoly.polys import Polynomial, deg_mod, reduce_coeffs
+from nullpoly.modulus import crt_combine_poly, omega1_composite
+from nullpoly.polys import Polynomial, reduce_coeffs
 
 PRIMES_TO_200 = [p for p in range(2, 200) if all(p % k for k in range(2, p))]
 
@@ -39,8 +41,21 @@ def is_null_composite(f: Polynomial, fm) -> bool:
 
 
 def is_monic_mod(f: Polynomial, m: int) -> bool:
-    d = deg_mod(f, m)
+    d = reduce_coeffs(f, m).degree
     return d is not None and f.coeffs[d] % m == 1 % m
+
+
+def least_monic_null_composite(factors) -> Polynomial:
+    """The paper's reduction: a least-degree monic null polynomial mod m
+    from the prime-power ones of its factorization, a list of (p, d)
+    pairs. Each least_monic_null(p, d) is padded to the common degree
+    omega1 by a power of x (a multiple of a null polynomial is null, and
+    x**k keeps it monic), and the parts are combined by CRT."""
+    target = omega1_composite(factors)
+    return crt_combine_poly([
+        (reduce_coeffs(h.shift(target - h.degree), p ** d), p ** d)
+        for p, d in factors for h in [least_monic_null(p, d)]
+    ])
 
 
 def brute_null_set(m: int, max_degree: int) -> set[Polynomial]:
@@ -72,10 +87,10 @@ def divmod_monic(f: Polynomial, g: Polynomial, m: int) -> tuple[Polynomial, Poly
     """Long division of f by a g that is monic mod m, all arithmetic mod m.
 
     Returns (q, r) with f ≡ g*q + r coefficient-wise mod m and
-    deg_mod(r, m) < deg_mod(g, m). Valid only because g's leading
-    coefficient is a unit (≡ 1); raises ValueError otherwise.
+    deg r < deg g mod m. Valid only because g's leading coefficient is a
+    unit (≡ 1); raises ValueError otherwise.
     """
-    dg = deg_mod(g, m)
+    dg = reduce_coeffs(g, m).degree
     if dg is None:
         raise ValueError("division by a polynomial that is zero mod m")
     if g.coeffs[dg] % m != 1 % m:

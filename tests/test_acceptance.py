@@ -13,12 +13,13 @@ from conftest import (
     is_null_composite,
     is_null_eval,
     kempner_mu_scan,
+    least_monic_null_composite,
     scaled_tower_value,
     tower_threshold_exponent,
 )
 from nullpoly.construct import least_monic_null, omega1_prime_power
 from nullpoly.counting import count_monic, count_null_le, enumerate_null
-from nullpoly.modulus import factor, kempner_basis, least_monic_null_composite, omega1_composite
+from nullpoly.modulus import factor, kempner_basis, omega1_composite
 from nullpoly.oracle import is_null_binomial
 from nullpoly.polys import Polynomial, parse_polynomial
 from nullpoly import cli

@@ -26,7 +26,7 @@ from nullpoly.canonical import (
 from nullpoly.construct import least_monic_null
 from nullpoly.modulus import kempner_basis, kempner_mu
 from nullpoly.oracle import _fold
-from nullpoly.polys import Polynomial, deg_mod, parse_polynomial, reduce_coeffs
+from nullpoly.polys import Polynomial, parse_polynomial, reduce_coeffs
 
 X = Polynomial((0, 1))
 
@@ -45,7 +45,7 @@ def test_reduce_degree_bounds_and_function():
         for _ in range(3):
             f = Polynomial([rng.randrange(-m, m) for _ in range(rng.randrange(0, 14))])
             r = reduce_degree(f, m)
-            d = deg_mod(r, m)
+            d = reduce_coeffs(r, m).degree
             assert d is None or d < mu
             for x in range(m):
                 assert f.eval_mod(x, m) == r.eval_mod(x, m)

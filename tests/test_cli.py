@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -323,6 +324,27 @@ def test_cli_import_loads_neither_dataclasses_nor_typing():
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_count_cross_check_at_a_huge_modulus_answers():
+    # the enumeration rows scale by p^d / g without a 2d-bit product mod p^d
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "nullpoly.cli", "count", "3", "2", "9999999", "--json"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["result"]["count"] == 4 and payload["verified"] is True
+
+
+def test_out_of_memory_is_one_error_line():
+    # the dense coefficient list of x^400000000 exceeds a 2 GiB address space
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "nullpoly.cli", "check-null", "x^400000000", "5"],
+                          env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: out of memory\n")
 
 
 # Exact stdout, stderr and exit code: one text and one --json run of every

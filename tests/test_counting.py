@@ -21,7 +21,7 @@ from nullpoly.counting import (
     null_count_exponent,
 )
 from nullpoly.oracle import is_null_binomial
-from nullpoly.polys import Polynomial, deg_mod, parse_polynomial
+from nullpoly.polys import Polynomial, parse_polynomial, reduce_coeffs
 from nullpoly.primes import is_prime
 
 PRIMES_TO_50 = [p for p in range(2, 51) if is_prime(p)]
@@ -259,7 +259,7 @@ def test_enumerated_polynomials_are_null_and_reduced():
         m = p ** d
         for f in enumerate_null(p, d, n):
             assert all(0 <= c < m for c in f.coeffs)
-            dm = deg_mod(f, m)
+            dm = reduce_coeffs(f, m).degree
             assert dm is None or dm <= n
             assert is_null_eval(f, m)
 

@@ -12,6 +12,7 @@ from conftest import (
     is_monic_mod,
     is_null_eval,
     kempner_mu_scan,
+    least_monic_null_composite,
     trial_factorization,
 )
 from nullpoly.cli import _parse_prime_power
@@ -19,13 +20,13 @@ from nullpoly.construct import least_monic_null
 from nullpoly.modulus import (
     crt_combine_poly,
     factor,
+    kempner_basis,
     kempner_mu,
-    least_monic_null_composite,
     omega0_composite,
     omega1_composite,
 )
 from nullpoly.oracle import is_null_binomial
-from nullpoly.polys import Polynomial, deg_mod, parse_polynomial, reduce_coeffs
+from nullpoly.polys import Polynomial, parse_polynomial, reduce_coeffs
 from nullpoly.primes import _RHO_BUDGET, is_prime, prime_factorization
 
 
@@ -167,7 +168,7 @@ def test_omega0_composite_brute_force():
         p, d = min(fm)
         scale = (m // p ** d) * p ** (d - 1)
         witness = scale * (Polynomial((0,) * p + (1,)) - Polynomial((0, 1)))
-        assert deg_mod(witness, m) == p
+        assert reduce_coeffs(witness, m).degree == p
         assert all(witness.eval_mod(x, m) == 0 for x in range(m))
 
 
@@ -184,18 +185,22 @@ def test_least_monic_null_composite_examples():
 
 
 def test_least_monic_null_composite_minimality():
+    # the paper's CRT reduction and Kempner's falling factorial, which
+    # construct --family kempner prints, are both least monic null mod m
     for m in range(2, 31):
         fm = factor(m)
-        h = least_monic_null_composite(fm)
-        assert is_monic_mod(h, m)
-        assert is_null_eval(h, m)
-        assert h.degree == omega1_composite(fm) == kempner_mu_scan(m)
+        for h in (least_monic_null_composite(fm), kempner_basis(m)):
+            assert is_monic_mod(h, m)
+            assert is_null_eval(h, m)
+            assert h.degree == omega1_composite(fm) == kempner_mu_scan(m)
 
 
 def test_least_monic_null_composite_matches_brute_sets():
     # degree agrees with the exhaustively found least monic null degree
     for m in (6, 10, 12):
-        assert least_monic_null_composite(factor(m)).degree == brute_least_monic_degree(m, 6)
+        least = brute_least_monic_degree(m, 6)
+        assert least_monic_null_composite(factor(m)).degree == least
+        assert kempner_basis(m).degree == least
 
 
 @settings(max_examples=200, deadline=None)

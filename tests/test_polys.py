@@ -8,7 +8,6 @@ from conftest import divmod_monic
 from nullpoly.polys import (
     ParseError,
     Polynomial,
-    deg_mod,
     format_csv,
     format_human,
     parse_polynomial,
@@ -88,10 +87,12 @@ def test_congruent_implies_same_function():
 
 
 def test_deg_mod_examples():
-    assert deg_mod(Polynomial((0, 0, 1, 0, 0, 8)), 8) == 2
-    assert deg_mod(parse_polynomial("x^4-2x^3+3x^2-2x"), 8) == 4
-    assert deg_mod(Polynomial((4, 4)), 2) is None
-    assert deg_mod(Polynomial(()), 17) is None
+    # the degree mod m is the degree of the reduced polynomial, since
+    # Polynomial strips trailing zeros; None when f ≡ 0 (mod m)
+    assert reduce_coeffs(Polynomial((0, 0, 1, 0, 0, 8)), 8).degree == 2
+    assert reduce_coeffs(parse_polynomial("x^4-2x^3+3x^2-2x"), 8).degree == 4
+    assert reduce_coeffs(Polynomial((4, 4)), 2).degree is None
+    assert reduce_coeffs(Polynomial(()), 17).degree is None
 
 
 def test_divmod_monic_examples():
@@ -123,7 +124,7 @@ def test_divmod_monic_randomized():
         )
         q, r = divmod_monic(f, g, m)
         assert not reduce_coeffs(g * q + r - f, m)
-        rd = deg_mod(r, m)
+        rd = reduce_coeffs(r, m).degree
         assert rd is None or rd < dg
 
 
