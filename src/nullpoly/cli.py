@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from math import prod
+from math import log2, prod
 
 from . import canonical, construct, counting, modulus, oracle
 from .polys import (
@@ -63,6 +63,8 @@ def _parse_prime_power(text: str) -> tuple[int, int]:
     require_prime(p)
     if d < 1:
         raise ValueError("exponent must be >= 1")
+    if d * log2(p) > counting._POWER_BITS:
+        raise ValueError(f"{p}^{d} has over {counting._POWER_BITS} bits, too large to build")
     return p, d
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .polys import Polynomial
+from .polys import Polynomial, product
 from .primes import require_prime
 
 
@@ -33,26 +33,23 @@ def repunit(p: int, n: int) -> int:
     return (p ** n - 1) // (p - 1)
 
 
-# Bounded for long-lived callers; bench's tower workload asks for 14 (p, n).
+# Bounded for long-lived callers; bench's tower workload fills 17 entries,
+# one per prime and height up to the tallest it asks for.
 @lru_cache(maxsize=32)
 def build_tower(p: int, n: int) -> tuple[Polynomial, ...]:
     """Tower levels 1..n for the prime p: entry k - 1 is level k, monic of
-    degree p**k and null mod p**repunit(p, k)."""
+    degree p**k and null mod p**repunit(p, k). Level n is built on the
+    cached build_tower(p, n - 1), so each level is built once per prime."""
     require_prime(p)
     if n < 1:
         raise ValueError("tower height must be >= 1")
-    levels = []
-    g = Polynomial((0, 1))
-    for k in range(1, n + 1):
-        step = p ** repunit(p, k - 1)
-        nxt = Polynomial((1,))
-        for i in range(p):
-            nxt = nxt * (g - Polynomial((i * step,)))
-        if nxt.degree != p ** k or nxt.coeffs[-1] != 1:
-            raise AssertionError(f"tower level {k} for p={p} is not monic of degree p**{k}")
-        levels.append(nxt)
-        g = nxt
-    return tuple(levels)
+    lower = build_tower(p, n - 1) if n > 1 else ()
+    g = lower[-1] if lower else Polynomial((0, 1))
+    step = p ** repunit(p, n - 1)
+    level = product(g - Polynomial((i * step,)) for i in range(p))
+    if level.degree != p ** n or level.coeffs[-1] != 1:
+        raise AssertionError(f"tower level {n} for p={p} is not monic of degree p**{n}")
+    return lower + (level,)
 
 
 def digit_vector(p: int, d: int) -> tuple[int, ...]:
@@ -94,10 +91,7 @@ def least_monic_null(p: int, d: int) -> Polynomial:
     """
     digits = digit_vector(p, d)
     tower = build_tower(p, len(digits))
-    h = Polynomial((1,))
-    for level, e in zip(tower, digits):
-        if e:
-            h = h * level ** e
+    h = product(level ** e for level, e in zip(tower, digits) if e)
     if h.coeffs[-1] != 1 or h.degree != omega1_prime_power(p, d):
         raise AssertionError(f"least monic null for {p}^{d} is not monic of degree omega1")
     return h

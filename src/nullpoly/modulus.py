@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from math import gcd
 
 from . import construct
-from .polys import Polynomial, reduce_coeffs
+from .polys import Polynomial, product, reduce_coeffs
 from .primes import prime_factorization as factor
 
 
@@ -74,8 +74,4 @@ def kempner_basis(m: int) -> Polynomial:
     monic f = sum (m a_k / k!) x(x-1)...(x-k+1) forces m | n! at the top.
     For a prime p it is x(x-1)...(x-(p-1)), the tower's level 1.
     """
-    mu = kempner_mu(m)
-    f = Polynomial((1,))
-    for i in range(mu):
-        f = f * Polynomial((-i, 1))
-    return f
+    return product(Polynomial((-i, 1)) for i in range(kempner_mu(m)))

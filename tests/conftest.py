@@ -83,6 +83,34 @@ def brute_least_monic_degree(m: int, degree_cap: int) -> int | None:
     return None
 
 
+def schoolbook_product(a, b) -> list[int]:
+    """Coefficients of the product of two nonempty coefficient sequences,
+    by the definition c_k = sum_{i+j=k} a_i * b_j."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def least_monic_null_schoolbook(p: int, d: int) -> Polynomial:
+    """least_monic_null(p, d) by the tower recursion and the digit vector,
+    one factor at a time, every product by schoolbook_product."""
+    def mul(f, g):
+        return Polynomial(schoolbook_product(f.coeffs, g.coeffs))
+
+    h, g = Polynomial((1,)), Polynomial((0, 1))
+    for k, e in enumerate(digit_vector(p, d), 1):
+        step = p ** repunit(p, k - 1)
+        level = Polynomial((1,))
+        for i in range(p):
+            level = mul(level, g - Polynomial((i * step,)))
+        for _ in range(e):
+            h = mul(h, level)
+        g = level
+    return h
+
+
 def divmod_monic(f: Polynomial, g: Polynomial, m: int) -> tuple[Polynomial, Polynomial]:
     """Long division of f by a g that is monic mod m, all arithmetic mod m.
 

@@ -318,8 +318,10 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_typing():
-    # -S: no site hook, which may itself import typing
-    code = "import sys, nullpoly.cli; print(sorted({'dataclasses', 'typing'} & set(sys.modules)))"
+    # -S: no site hook, which may itself import typing; decimal is imported
+    # only by the products that multiply through it
+    code = ("import sys, nullpoly.cli; "
+            "print(sorted({'dataclasses', 'decimal', 'typing'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -334,6 +336,20 @@ def test_count_cross_check_at_a_huge_modulus_answers():
     assert done.returncode == 0, done.stderr
     payload = json.loads(done.stdout)
     assert payload["result"]["count"] == 4 and payload["verified"] is True
+
+
+def test_crt_refuses_a_prime_power_too_large_to_build():
+    # 2^99999999999 would be built before the parts are combined
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "nullpoly.cli", "crt", "x", "2^99999999999", "x", "3"],
+                          env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert time.perf_counter() - start < 2.0
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: 2^99999999999 has over {counting._POWER_BITS} bits, too large to build\n"
 
 
 def test_out_of_memory_is_one_error_line():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_null_eval, kempner_mu_scan, scaled_tower_value
+from conftest import is_null_eval, kempner_mu_scan, least_monic_null_schoolbook, scaled_tower_value
 from nullpoly.construct import (
     build_tower,
     digit_vector,
@@ -40,6 +40,25 @@ def test_tower_small_levels():
         Polynomial((0, 2, -1, -2, 1)),  # (x^2-x)(x^2-x-2)
     )
     assert build_tower(3, 1) == (kempner_basis(3),)
+
+
+def test_each_tower_level_is_built_once():
+    build_tower.cache_clear()
+    for p in (2, 3, 5):
+        misses = build_tower.cache_info().misses
+        build_tower(p, 2)
+        assert build_tower.cache_info().misses == misses + 2
+        for n in (3, 4):
+            tower = build_tower(p, n)
+            assert build_tower.cache_info().misses == misses + n
+            lower = build_tower(p, n - 1)
+            assert tower[:n - 1] == lower and all(a is b for a, b in zip(tower, lower))
+
+
+def test_least_monic_null_matches_schoolbook_products():
+    # sizes where least_monic_null's products reach both Kronecker paths
+    for p, d in [(2, 100), (3, 300), (5, 200), (7, 148)]:
+        assert least_monic_null(p, d) == least_monic_null_schoolbook(p, d)
 
 
 def test_tower_degrees_and_monic():

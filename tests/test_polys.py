@@ -1,16 +1,19 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import divmod_monic
+from conftest import divmod_monic, schoolbook_product
+from nullpoly import polys
 from nullpoly.polys import (
     ParseError,
     Polynomial,
     format_csv,
     format_human,
     parse_polynomial,
+    product,
     reduce_coeffs,
 )
 
@@ -39,6 +42,78 @@ def test_mul_examples():
     assert X * (X - Polynomial((1,))) == f
     assert f * f == Polynomial((0, 0, 1, -2, 1))
     assert f * Polynomial((-2, -1, 1)) == Polynomial((0, 2, -1, -2, 1))
+
+
+def _signed_coeffs(rng, n, bits):
+    """n coefficients: zeros, tiny ones and ones of up to bits bits, mixed
+    signs, the last nonzero."""
+    c = [rng.choice((0, rng.randint(-3, 3), rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, bits))))
+         for _ in range(n)]
+    c[-1] = c[-1] or 1
+    return c
+
+
+def _assert_kernel_exact(a, b):
+    want = schoolbook_product(a, b)
+    assert polys._kronecker(a, b) == want
+    assert polys._kronecker(a, a) == schoolbook_product(a, a)
+    assert (Polynomial(a) * Polynomial(b)).coeffs == tuple(want)
+
+
+@pytest.mark.parametrize("decimal_min_digits", [None, 0, 10 ** 18], ids=["measured", "decimal", "int"])
+def test_kronecker_matches_schoolbook(monkeypatch, decimal_min_digits):
+    # None keeps the measured threshold; 0 and 10**18 send every product
+    # through the decimal and through the int path
+    if decimal_min_digits is not None:
+        monkeypatch.setattr(polys, "_DECIMAL_MIN_DIGITS", decimal_min_digits)
+    rng = random.Random(f"kronecker:{decimal_min_digits}")
+    t = polys._KRONECKER_MIN_TERMS
+    for na, nb, bits in [(1, 1, 8), (1, 40, 200), (2, 3, 1), (t - 1, t - 1, 80), (t, t, 80),
+                         (t, 3 * t, 600), (t + 1, 5, 40), (70, 90, 1200), (200, 150, 2000)]:
+        for _ in range(3):
+            _assert_kernel_exact(_signed_coeffs(rng, na, bits), _signed_coeffs(rng, nb, bits))
+    _assert_kernel_exact([0, 0, 5], [-7])
+    _assert_kernel_exact([-1] * 50, [1] * 40)
+
+
+def test_kronecker_decimal_threshold_is_met_on_both_sides():
+    # 1000-bit coefficients take 605-digit slots: 2n - 1 = 79 slots pack
+    # below _DECIMAL_MIN_DIGITS, 119 slots above it
+    assert 79 * 605 < polys._DECIMAL_MIN_DIGITS <= 119 * 605
+    rng = random.Random(3)
+    for n in (40, 60):
+        a = [rng.choice((-1, 1)) * (rng.getrandbits(999) | 1 << 999) for _ in range(n)]
+        _assert_kernel_exact(a, a[::-1])
+
+
+def test_kronecker_past_the_int_str_digit_limit(monkeypatch):
+    # a slot of more decimal digits than int-to-str conversion allows goes
+    # through the hex path, even when the product is large enough for decimal
+    huge = 7 ** 6000 + 1  # 5071 digits, past the default cap of 4300
+    monkeypatch.setattr(polys, "_DECIMAL_MIN_DIGITS", 0)
+    rng = random.Random(4)
+    a = [rng.randint(-9, 9) for _ in range(40)] + [huge]
+    b = [-huge] + [rng.randint(-9, 9) for _ in range(39)] + [huge]
+    _assert_kernel_exact(a, b)
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        sys.set_int_max_str_digits(0)
+        try:
+            _assert_kernel_exact(a, b)  # no cap: the decimal path
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_product_tree():
+    assert product([]) == Polynomial((1,))
+    assert product([X]) == X
+    assert product([X, Polynomial(())]) == Polynomial(())
+    linear = [Polynomial((-i, 1)) for i in range(70)]
+    want = Polynomial((1,))
+    for f in linear:
+        want = want * f
+    assert product(linear) == want
+    assert product(reversed(linear)) == want
 
 
 def test_eval_examples():
