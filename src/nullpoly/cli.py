@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from math import log2, prod
+from math import log2, log10, prod
 
 from . import canonical, construct, counting, modulus, oracle
 from .polys import (
@@ -66,6 +66,21 @@ def _parse_prime_power(text: str) -> tuple[int, int]:
     if d * log2(p) > counting._POWER_BITS:
         raise ValueError(f"{p}^{d} has over {counting._POWER_BITS} bits, too large to build")
     return p, d
+
+
+def _check_printable(parts: list[tuple[int, int]]) -> None:
+    """Refuse, before building it, a modulus prod p**d of the (p, d) parts
+    whose residues could not be printed: over sys.get_int_max_str_digits()
+    decimal digits, or over counting._POWER_BITS bits while that limit is
+    off."""
+    name = " * ".join(_prime_power_str(p, d) for p, d in parts)
+    digits = sum(d * log10(p) for p, d in parts)  # the modulus has floor(digits) + 1
+    limit = sys.get_int_max_str_digits()
+    if limit and digits >= limit:
+        raise ValueError(f"modulus {name} has over {limit} decimal digits, "
+                         f"the sys.get_int_max_str_digits() limit for printing")
+    if not limit and digits * log2(10) > counting._POWER_BITS:
+        raise ValueError(f"modulus {name} has over {counting._POWER_BITS} bits, too large to build")
 
 
 def _count_at_most(p: int, e: int, limit: int) -> bool:
@@ -253,6 +268,7 @@ def _cmd_enumerate(args):
         raise ValueError(
             f"count {p}^{e} exceeds --limit {args.limit}; raise the limit to proceed"
         )
+    _check_printable([(p, d)])
     total = p ** e
     pd = p ** d
     polys = sorted(counting.enumerate_null(p, d, n), key=lambda f: f.coeffs)
@@ -277,6 +293,7 @@ def _cmd_crt(args):
     for i in range(0, len(items), 2):
         f = parse_polynomial(items[i])
         parts.append((f, *_parse_prime_power(items[i + 1])))
+    _check_printable([(p, d) for _, p, d in parts])
     combined = modulus.crt_combine_poly([(f, p ** d) for f, p, d in parts])
     m = prod(p ** d for _, p, d in parts)
     for f, p, d in parts:

@@ -230,6 +230,24 @@ def kempner_mu_scan(m: int) -> int:
     return t
 
 
+def falling_coords_by_division(coeffs, m: int):
+    """(k! mod m, b_k mod m) for k < min(len(coeffs), mu(m)), where
+    sum_i coeffs[i] * x**i = sum_k b_k * x(x-1)...(x-k+1): synthetic
+    division by x - k at every step k, whatever the sizes of m and f (the
+    loop oracle._falling_coords keeps below its thresholds)."""
+    c = [a % m for a in coeffs]
+    fact = 1 % m
+    for k in range(len(c)):
+        if not fact:
+            return
+        acc = 0
+        for i in range(len(c) - 1, k - 1, -1):
+            acc = (c[i] + k * acc) % m
+            c[i] = acc
+        yield fact, acc
+        fact = fact * (k + 1) % m
+
+
 def newton_coefficients(f: Polynomial) -> tuple[int, ...]:
     """Exact coordinates of f in the binomial basis: f = sum a[k]*C(x,k).
 

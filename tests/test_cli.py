@@ -352,6 +352,41 @@ def test_crt_refuses_a_prime_power_too_large_to_build():
     assert done.stderr == f"error: 2^99999999999 has over {counting._POWER_BITS} bits, too large to build\n"
 
 
+@pytest.mark.parametrize("argv, digits_off, modulus", [
+    (("crt", "x", "2^20000", "x", "3"), False, "2^20000 * 3"),
+    (("enumerate", "3", "2", "20000"), False, "2^20000"),
+    (("enumerate", "3", "2", "99999999999"), False, "2^99999999999"),
+    (("enumerate", "3", "2", "99999999999"), True, "2^99999999999"),
+])
+def test_a_modulus_too_long_to_print_is_refused_up_front(argv, digits_off, modulus):
+    # without the refusal the first two fail after the work, when the answer
+    # is printed, and the third builds 2**(10**11)
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONINTMAXSTRDIGITS="0" if digits_off else "4300")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "nullpoly.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert time.perf_counter() - start < 2.0
+    assert (done.returncode, done.stdout) == (1, "")
+    if digits_off:
+        assert done.stderr == f"error: modulus {modulus} has over {counting._POWER_BITS} bits, too large to build\n"
+    else:
+        assert done.stderr == (f"error: modulus {modulus} has over 4300 decimal digits, "
+                               "the sys.get_int_max_str_digits() limit for printing\n")
+
+
+def test_a_modulus_just_short_enough_to_print_is_answered(capsys):
+    # 2^14282 * 3 has 4300 digits, 2^14283 * 3 has 4301
+    code, out, err = run_cli(capsys, "crt", "x", "2^14282", "x", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"modulus: {2 ** 14282 * 3}"
+    code, out, err = run_cli(capsys, "crt", "x", "2^14283", "x", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: modulus 2^14283 * 3 has over 4300 decimal digits")
+
+
 def test_out_of_memory_is_one_error_line():
     # the dense coefficient list of x^400000000 exceeds a 2 GiB address space
     def cap():

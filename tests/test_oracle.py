@@ -11,14 +11,16 @@ from conftest import (
     brute_least_monic_degree,
     equivalent_eval,
     eval_vector,
+    falling_coords_by_division,
     from_falling,
     is_null_eval,
     newton_coefficients,
 )
+from nullpoly import oracle
 from nullpoly.construct import least_monic_null
 from nullpoly.modulus import kempner_basis, kempner_mu
 from nullpoly.oracle import is_null_binomial, null_order, null_witness
-from nullpoly.polys import Polynomial, parse_polynomial
+from nullpoly.polys import Polynomial, parse_polynomial, product
 
 X = Polynomial((0, 1))
 
@@ -155,12 +157,12 @@ def test_falling_factorial_is_least_null_for_prime():
 
 
 @st.composite
-def _mostly_null(draw, moduli, max_degree):
+def _mostly_null(draw, moduli, max_degree, min_degree=0):
     """(f, m) with f built from falling-factorial coordinates b_k: half the
     time each b_k is a multiple of m / gcd(m, k!), which makes f null, and
     then one coordinate may be nudged, which usually breaks that."""
     m = draw(moduli)
-    n = draw(st.integers(0, max_degree))
+    n = draw(st.integers(min_degree, max_degree))
     b = draw(st.lists(st.integers(-m, m), min_size=n + 1, max_size=n + 1))
     if draw(st.booleans()):
         b = [bk * (m // math.gcd(m, math.factorial(k))) for k, bk in enumerate(b)]
@@ -169,13 +171,71 @@ def _mostly_null(draw, moduli, max_degree):
     return from_falling(b), m
 
 
+# Moduli of 34 to 401 bits, where _falling_coords runs its Horner tail on
+# f of 128 coefficients or more: prime powers and composites, mu(m) from
+# 36 (2 ** 33) to 404 (2 ** 400).
+MULTI_WORD = (2 ** 33, 2 ** 100, 3 ** 60, 5 ** 40, 2 ** 40 * 3 ** 30 * 7, 7 ** 30 * 11, 2 ** 400)
+
+
 @settings(max_examples=150, deadline=None)
-@given(_mostly_null(st.integers(2, 600), 40))
+@given(st.one_of(_mostly_null(st.integers(2, 600), 40), _mostly_null(st.sampled_from(MULTI_WORD), 220, 100)))
 def test_newton_and_window_tests_match_the_definition(case):
+    # every residue below a small m; below a multi-word m the values at
+    # x <= deg f, which fix every forward difference and so the function
     f, m = case
-    first_nonzero = next((x for x, v in enumerate(eval_vector(f, m)) if v), None)
+    window = eval_vector(f, m) if m <= 600 else [f(x) % m for x in range(len(f.coeffs))]
+    first_nonzero = next((x for x, v in enumerate(window) if v), None)
     assert is_null_binomial(f, m) == (first_nonzero is None)
     assert null_witness(f, m) == first_nonzero
+
+
+@st.composite
+def _coords_case(draw):
+    """(coefficients, m): m a prime power, a composite or any integer from
+    2**20 to 2**400, and up to 400 coefficients, often more than mu(m)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    m = draw(st.one_of(
+        st.integers(math.ceil(20 / math.log2(p)), int(400 / math.log2(p))).map(lambda d: p ** d),
+        st.sampled_from([2 ** 40 * 3 ** 30 * 7, 2 ** 20 * 3 ** 20, 5 ** 30 * 7 ** 20 * 13]),
+        st.integers(2 ** 20, 2 ** 400),
+    ))
+    n = draw(st.integers(0, 400))
+    sizes = st.sampled_from([1, 2 ** 8, m])
+    return draw(st.lists(sizes.flatmap(lambda b: st.integers(-b, b)), min_size=n, max_size=n)), m
+
+
+@settings(max_examples=50, deadline=None)
+@given(_coords_case(), st.sampled_from([None, (3, 0), (3, 1), (3, 16), (1, 8), (64, 1)]), st.sampled_from([1, 16]))
+def test_falling_coords_match_synthetic_division(case, constants, reduce_every):
+    # with no patch the module's thresholds pick the path; else every
+    # modulus and length takes the Horner tail, with blocks of 3 (1, 64)
+    # after 0, 1, 16 (8, 1) division passes, so every block and hand-over
+    # boundary is crossed
+    coeffs, m = case
+    with pytest.MonkeyPatch.context() as mp:
+        if constants:
+            block, passes = constants
+            mp.setattr(oracle, "_HORNER_MIN_BITS", 0)
+            mp.setattr(oracle, "_HORNER_MIN_TERMS", 0)
+            mp.setattr(oracle, "_HORNER_BLOCK", block)
+            mp.setattr(oracle, "_DIVISION_PASSES", passes)
+            mp.setattr(oracle, "_HORNER_REDUCE", reduce_every)
+        assert list(oracle._falling_coords(coeffs, m)) == list(falling_coords_by_division(coeffs, m))
+
+
+def test_falling_coords_stop_after_one_block_past_the_first_nonzero():
+    # f = x(x-1)...(x-j) * x**(5000-j-1) + x(x-1)...(x-j+1) vanishes at
+    # x < j and is j! at x = j, so a_k = 0 below j and a_j = j!, not 0 mod
+    # 2**6000. A tail that ran every block before yielding took 13-16 s
+    # for j = 20 and 300 on a 2-core x86-64 host.
+    m, n = 2 ** 6000, 5000
+    for j in (0, 1, 20, 300):
+        pj = product([Polynomial((-i, 1)) for i in range(j)]) if j else Polynomial((1,))
+        f = (pj * Polynomial((-j, 1))).shift(n - j - 1) + pj
+        assert f.degree == n and f.eval_mod(j, m) == math.factorial(j)
+        start = time.perf_counter()
+        assert not is_null_binomial(f, m)
+        assert time.perf_counter() - start < 0.5, j
 
 
 def test_null_witness_stops_at_mu(monkeypatch):
@@ -215,7 +275,10 @@ def _vp(a: int, p: int) -> int:
 def test_null_order_is_the_least_valuation_of_the_newton_coordinates(p, d_max, data):
     # exact Newton coordinates need no power of p, so they check the clamp
     # of d_max at any size, on tower multiples and p-power-scaled inputs
-    f, _ = data.draw(_mostly_null(st.sampled_from([p, p ** 3, p ** 6]), 12))
+    # with 128 terms or more, built mod p**60, and a clamp of d_max past
+    # 2**32, null_order takes the Horner tail
+    f, _ = data.draw(st.one_of(_mostly_null(st.sampled_from([p, p ** 3, p ** 6]), 12),
+                               _mostly_null(st.just(p ** 60), 160, 100)))
     if data.draw(st.booleans()):
         f = f * least_monic_null(p, data.draw(st.integers(1, 6)))
     f = f * p ** data.draw(st.integers(0, 30))
