@@ -14,7 +14,7 @@ by x(x-1)...(x-p+1) as well, because that product is ≡ x**p - x (mod p).
 The canonical form reads a_k, k < p, off the fold of length n. A short
 fold goes through the O(n**2) transform; a long one, with
 n**2 > _VALUES_CROSSOVER * p, through its values on F_p, in O(p) steps
-and two integer products (Kronecker substitution):
+and two integer products (polys._kronecker):
 - f(0) is c_0, and f(g**i), i < p - 1, for a primitive root g, is one
   product by Bluestein's chirp, ik = T(i+k) - T(i) - T(k) with
   T(t) = t(t-1)/2 (Bluestein 1970);
@@ -27,13 +27,15 @@ from __future__ import annotations
 from ._record import Record
 from .modulus import kempner_mu
 from .oracle import _falling_coords, _fold, _newton_coords, is_null_binomial
-from .polys import Polynomial
+from .polys import Polynomial, _kronecker
 from .primes import is_prime, prime_factorization
 
 # Mod a prime p, canonical_form takes the values path when the fold's length
 # n has n**2 > _VALUES_CROSSOVER * p: the transform costs about n**2 / 2
-# steps, the values path about p steps and two products.
-_VALUES_CROSSOVER = 128
+# steps, the values path about p steps and two products. The two cost the
+# same at n**2 / p = 61-72 (p = 457), 67-82 (1009), 118-163 (9973) and
+# 160-175 (99991) on a 2-core x86-64 host; at 110 neither pays over 1.8x.
+_VALUES_CROSSOVER = 110
 
 
 class CanonicalForm(Record):
@@ -41,18 +43,6 @@ class CanonicalForm(Record):
     degree-reduced representative; equal forms iff equivalent polynomials."""
 
     __slots__ = ("m", "a")
-
-
-def _product_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Coefficients mod p of the product of two nonempty lists of residues
-    mod p, by one integer product: each list is packed into fixed-width
-    byte slots wide enough for a sum of min(len) products below p**2."""
-    w = ((p - 1) ** 2 * min(len(a), len(b))).bit_length() // 8 + 1
-    x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
-    y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little")
-    n = (len(a) + len(b) - 1) * w
-    z = (x * y).to_bytes(n, "little")
-    return [int.from_bytes(z[i:i + w], "little") % p for i in range(0, n, w)]
 
 
 def _primitive_root(p: int) -> int:
@@ -83,7 +73,7 @@ def _newton_coords_by_values(c: list[int], p: int) -> list[int]:
         step_inv = step_inv * g_inv % p
     # g**T(t + p - 1) = -g**T(t), so the terms with i + k >= p - 1 are the
     # product's coefficient p - 1 places lower, negated
-    s = _product_mod([u[k] * chirp_inv[k] % p for k in range(n - 1, -1, -1)], chirp, p)
+    s = _kronecker([u[k] * chirp_inv[k] % p for k in range(n - 1, -1, -1)], chirp)
     values = [0] * p
     values[0] = c[0]
     x = 1
@@ -99,7 +89,7 @@ def _newton_coords_by_values(c: list[int], p: int) -> list[int]:
     for k in range(p - 1, 1, -1):
         fact_inv[k - 1] = fact_inv[k] * k % p
     e_minus = [p - e if t % 2 else e for t, e in enumerate(fact_inv)]
-    egf = _product_mod([v * e % p for v, e in zip(values, fact_inv)], e_minus, p)
+    egf = _kronecker([v * e % p for v, e in zip(values, fact_inv)], e_minus)
     return [fact[k] * egf[k] % p for k in range(p)]
 
 
@@ -124,11 +114,9 @@ def reduce_degree(f: Polynomial, m: int) -> Polynomial:
 
 def canonical_form(f: Polynomial, m: int) -> CanonicalForm:
     """Newton coordinates a_k mod m, k < mu(m). For a prime m they are
-    read off the fold of f by x**m - x, of length n <= m and by Lagrange
-    the only polynomial of degree < m with f's function: by the transform
-    when n**2 <= _VALUES_CROSSOVER * m, else from the fold's values on F_m
-    by Bluestein's chirp and a_k from an exponential generating function
-    product, O(m) steps and two integer products."""
+    read off the fold of f by x**m - x, of length n: by the transform when
+    n**2 <= _VALUES_CROSSOVER * m, else from the fold's values on F_m
+    (module docstring)."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if is_prime(m):

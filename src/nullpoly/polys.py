@@ -7,28 +7,29 @@ a different thing and must stay distinguishable for the counting code).
 
 Products of two polynomials with at least _KRONECKER_MIN_TERMS terms each
 are exact Kronecker substitutions (_kronecker): each factor is evaluated at
-x = base**width, one slot of width digits per coefficient, the two
-integers are multiplied once, and the product's coefficients are read
-back off its slots. A slot holds 2**(bits + 1), where |c| < 2**bits bounds
-every product coefficient c by the factors' bit lengths and log2 of the
-shorter length. Coefficients are signed. A factor is packed as two digit
-strings, the magnitudes of its positive and of its negative coefficients,
-and its value is their difference. Before the product is read back, half
-a slot's range is added to every slot, so each slot holds c + half in
-[0, base**width) and the reading takes half back out.
+x = base**width, one slot per coefficient, the two integers are multiplied
+once, and the product's coefficients are read back off its slots. Every
+product and factor coefficient c has |c| <= mag, the factors' largest
+magnitudes (at least 1) times the shorter length. With no negative
+coefficient in either factor (every product of residues), a slot's range
+need only exceed mag. Otherwise it exceeds 2 * mag, a factor with a
+negative coefficient is packed as the magnitudes of its positive minus
+those of its negative coefficients, and half a slot's range is added to
+every slot of the product and taken out again while reading, so no slot
+borrows from the next.
 
-Below _DECIMAL_MIN_DIGITS packed digits the base is 16 and the product is
-CPython's (Karatsuba) int product. From there on the base is 10 and the
-product is decimal.Context.multiply at MAX_PREC, libmpdec's
-number-theoretic transform; decimal is imported only there, so start-up
-never pays for it. Neither path converts between int and Decimal
-directly: Decimal(int) and int(Decimal) are quadratic (seconds at 10**5
-digits). Packing formats one coefficient at a time, each packed string
-is parsed once (int from hex and Decimal from str are both linear), and
-reading back slices the product's digit string. Int to decimal str and
-back is capped at sys.get_int_max_str_digits() digits, so a slot wider
-than that cap takes the hex path. product() multiplies many factors as a
-product tree, so that few products are large and those reach the kernel.
+Below _DECIMAL_MIN_DIGITS packed decimal digits the int path (byte slots)
+packs by int.to_bytes, multiplies CPython ints (Karatsuba) and reads back
+by int.from_bytes. From there on the base is 10 and the product is
+decimal.Context.multiply at MAX_PREC, libmpdec's number-theoretic
+transform; decimal is imported only there, so start-up never pays for it.
+That path never converts between int and Decimal (Decimal(int) and
+int(Decimal) are quadratic: seconds at 10**5 digits): it formats one
+coefficient at a time, parses each packed string once, and reads back by
+slicing the product's digit string. A slot wider than
+sys.get_int_max_str_digits() takes the int path. Only this module packs
+integers into slots. product() multiplies many factors as a product tree,
+so that few products are large and those reach the kernel.
 """
 from __future__ import annotations
 
@@ -148,22 +149,22 @@ _set_coeffs = Polynomial.coeffs.__set__
 _KRONECKER_MIN_TERMS = 32
 # _kronecker multiplies by the decimal module once the product packs into
 # this many decimal digits, and by CPython's Karatsuba ints below it. On
-# the same host the int product wins up to about 50 000 digits and the
-# decimal one from about 60 000, at every coefficient size from 30 to 3000
-# bits; at 10**6 digits the decimal product is 3-4 times faster.
-_DECIMAL_MIN_DIGITS = 60_000
+# the same host, against byte slots, the int product wins up to about
+# 90 000 digits and the decimal one from about 120 000 with coefficients
+# of 30 and 300 bits, signed or not; at 3000 bits the int product wins up
+# to about 180 000 digits. At 360 000 digits the decimal product is 1.5-2
+# times faster.
+_DECIMAL_MIN_DIGITS = 120_000
 
 
-def _bits(coeffs) -> int:
-    return max(max(coeffs), -min(coeffs)).bit_length()
-
-
-def _slots(coeffs, width: int, spec: str) -> tuple[str, str]:
-    """Digits, in base 10 for spec "d" and 16 for "x", of sum_i |c_i| *
-    base**(width * i) over the positive and over the negative c_i: one
-    slot of width digits per coefficient, |c_i| < base**width."""
-    fmt, zero = f"0{width}{spec}", "0" * width
+def _slots(coeffs, width: int) -> tuple[str, str]:
+    """Decimal digits of sum_i |c_i| * 10**(width * i) over the positive and
+    over the negative c_i: one slot of width digits per coefficient,
+    |c_i| < 10**width. The second is empty when no c_i is negative."""
+    fmt, zero = f"0{width}d", "0" * width
     coeffs = coeffs[::-1]
+    if min(coeffs) >= 0:
+        return "".join([format(c, fmt) for c in coeffs]), ""
     return ("".join([format(c, fmt) if c > 0 else zero for c in coeffs]),
             "".join([format(-c, fmt) if c < 0 else zero for c in coeffs]))
 
@@ -172,35 +173,46 @@ def _kronecker(a, b) -> list[int]:
     """Coefficients of the product of two nonempty coefficient sequences,
     by Kronecker substitution (module docstring)."""
     n = len(a) + len(b) - 1
-    # every coefficient c of the product has |c| < 2**bits
-    bits = _bits(a) + _bits(b) + min(len(a), len(b)).bit_length()
-    width = bits * 30103 // 100000 + 2  # 10**width >= 2**(bits + 1)
-    limit = sys.get_int_max_str_digits()
-    if n * width >= _DECIMAL_MIN_DIGITS and not 0 < limit < width:
+    lo_a, lo_b = min(a), min(b)
+    signed = lo_a < 0 or lo_b < 0
+    # every coefficient c of the product, and of each factor, has
+    # |c| <= mag < 2**(bits - signed)
+    mag = max(max(a), -lo_a, 1) * max(max(b), -lo_b, 1) * min(len(a), len(b))
+    bits = mag.bit_length() + signed
+    width = bits * 30103 // 100000 + 1  # 10**width >= 2**bits
+    if n * width >= _DECIMAL_MIN_DIGITS and not 0 < sys.get_int_max_str_digits() < width:
         from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 
         ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-        base, half = 10, "5" + "0" * (width - 1)
 
         def value(c):  # c at x = 10**width
-            pos, neg = _slots(c, width, "d")
-            return ctx.subtract(Decimal(pos), Decimal(neg))
+            pos, neg = _slots(c, width)
+            return ctx.subtract(Decimal(pos), Decimal(neg)) if neg else Decimal(pos)
 
         x = value(a)
-        digits = str(ctx.add(ctx.multiply(x, x if a is b else value(b)), Decimal(half * n)))
-    else:
-        width = bits // 4 + 1  # 16**width >= 2**(bits + 1)
-        base, half = 16, "8" + "0" * (width - 1)
+        z, h = ctx.multiply(x, x if a is b else value(b)), 0
+        if signed:  # half a slot's range added to every slot
+            half = "5" + "0" * (width - 1)
+            z, h = ctx.add(z, Decimal(half * n)), int(half)
+        digits = str(z).zfill(n * width)
+        return [int(digits[i - width:i]) - h for i in range(n * width, 0, -width)]
+    width = bits // 8 + 1  # 256**width >= 2**bits
+    zero = bytes(width)
 
-        def value(c):  # c at x = 16**width
-            pos, neg = _slots(c, width, "x")
-            return int(pos, 16) - int(neg, 16)
+    def value(c, lo):  # c at x = 256**width, slots little-endian
+        if lo >= 0:
+            return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in c]), "little")
+        pos = b"".join([v.to_bytes(width, "little") if v > 0 else zero for v in c])
+        neg = b"".join([(-v).to_bytes(width, "little") if v < 0 else zero for v in c])
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-        x = value(a)
-        digits = format(x * (x if a is b else value(b)) + int(half * n, 16), "x")
-    digits = digits.zfill(n * width)
-    h = int(half, base)
-    return [int(digits[i - width:i], base) - h for i in range(n * width, 0, -width)]
+    x = value(a, lo_a)
+    z, h = x * (x if a is b else value(b, lo_b)), 0
+    if signed:  # half a slot's range added to every slot
+        h = 1 << 8 * width - 1
+        z += int.from_bytes(h.to_bytes(width, "little") * n, "little")
+    z = z.to_bytes(n * width, "little")
+    return [int.from_bytes(z[i:i + width], "little") - h for i in range(0, n * width, width)]
 
 
 def product(factors: Iterable[Polynomial]) -> Polynomial:

@@ -15,6 +15,7 @@ from conftest import (
     newton_coefficients,
     prime_and_long_poly,
 )
+from nullpoly import polys
 from nullpoly.canonical import (
     _VALUES_CROSSOVER,
     CanonicalForm,
@@ -25,7 +26,7 @@ from nullpoly.canonical import (
 )
 from nullpoly.construct import least_monic_null
 from nullpoly.modulus import kempner_basis, kempner_mu
-from nullpoly.oracle import _fold
+from nullpoly.oracle import _fold, _newton_coords
 from nullpoly.polys import Polynomial, parse_polynomial, reduce_coeffs
 
 X = Polynomial((0, 1))
@@ -209,6 +210,16 @@ def test_values_path_on_every_prime_to_200():
         for n in (1, 2, p - 1, p, 2 * p + 1):
             f = Polynomial([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n - 1)] + [rng.randrange(1, p)])
             assert _newton_coords_by_values(_fold(f.coeffs, p), p) == _newton_mod(f, p), (p, n)
+
+
+def test_values_path_through_the_decimal_product():
+    # mod 9973 a fold of 1200 terms packs both products, of 12- and 13-digit
+    # slots, past _DECIMAL_MIN_DIGITS: they take libmpdec's transform
+    p, n = 9973, 1200
+    assert (n + p - 2) * 12 >= polys._DECIMAL_MIN_DIGITS
+    rng = random.Random(p)
+    c = [rng.randrange(p) for _ in range(n - 1)] + [1]
+    assert _newton_coords_by_values(c, p) == list(_newton_coords(c, p)) + [0] * (p - n)
 
 
 def test_canonical_form_on_both_sides_of_the_crossover():

@@ -114,6 +114,20 @@ def test_intra_package_imports_are_layered():
     assert "prime_factorization" not in names["construct"]
 
 
+def test_only_polys_packs_integers_into_slots():
+    # one packing format: every other module multiplies through polys._kronecker
+    packers = {"to_bytes", "from_bytes", "Decimal"}
+    found = []
+    for path in sorted((ROOT / "src" / "nullpoly").glob("*.py")):
+        if path.stem == "polys":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+            if field and getattr(node, field) in packers:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_src_has_no_bare_assert():
     # python -O strips assert statements; result checks must raise instead
     found = []

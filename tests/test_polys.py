@@ -53,11 +53,16 @@ def _signed_coeffs(rng, n, bits):
     return c
 
 
+def _nonnegative_coeffs(rng, n, bits):
+    """n coefficients as _signed_coeffs, none negative, the last nonzero."""
+    return [abs(c) for c in _signed_coeffs(rng, n, bits)]
+
+
 def _assert_kernel_exact(a, b):
     want = schoolbook_product(a, b)
     assert polys._kronecker(a, b) == want
     assert polys._kronecker(a, a) == schoolbook_product(a, a)
-    assert (Polynomial(a) * Polynomial(b)).coeffs == tuple(want)
+    assert Polynomial(a) * Polynomial(b) == Polynomial(want)
 
 
 @pytest.mark.parametrize("decimal_min_digits", [None, 0, 10 ** 18], ids=["measured", "decimal", "int"])
@@ -72,23 +77,32 @@ def test_kronecker_matches_schoolbook(monkeypatch, decimal_min_digits):
                          (t, 3 * t, 600), (t + 1, 5, 40), (70, 90, 1200), (200, 150, 2000)]:
         for _ in range(3):
             _assert_kernel_exact(_signed_coeffs(rng, na, bits), _signed_coeffs(rng, nb, bits))
+            # neither factor negative: no negative digits and no offset,
+            # and one factor negative: the offset with one unsigned factor
+            _assert_kernel_exact(_nonnegative_coeffs(rng, na, bits), _nonnegative_coeffs(rng, nb, bits))
+            _assert_kernel_exact(_nonnegative_coeffs(rng, na, bits), _signed_coeffs(rng, nb, bits))
     _assert_kernel_exact([0, 0, 5], [-7])
     _assert_kernel_exact([-1] * 50, [1] * 40)
+    _assert_kernel_exact([0, 0, 5], [7])
+    _assert_kernel_exact([0] * 40, [0] * 50)  # zero-only factors
+    _assert_kernel_exact([0], [3, 0, 2 ** 300])
+    _assert_kernel_exact([2 ** 64 - 1] * 60, [255] * 33)  # coefficients filling whole bytes
 
 
 def test_kronecker_decimal_threshold_is_met_on_both_sides():
-    # 1000-bit coefficients take 605-digit slots: 2n - 1 = 79 slots pack
-    # below _DECIMAL_MIN_DIGITS, 119 slots above it
-    assert 79 * 605 < polys._DECIMAL_MIN_DIGITS <= 119 * 605
+    # 1000-bit coefficients take 605-digit slots: 2n - 1 = 159 slots pack
+    # below _DECIMAL_MIN_DIGITS, 239 slots above it
+    assert 159 * 605 < polys._DECIMAL_MIN_DIGITS <= 239 * 605
     rng = random.Random(3)
-    for n in (40, 60):
+    for n in (80, 120):
         a = [rng.choice((-1, 1)) * (rng.getrandbits(999) | 1 << 999) for _ in range(n)]
         _assert_kernel_exact(a, a[::-1])
 
 
 def test_kronecker_past_the_int_str_digit_limit(monkeypatch):
     # a slot of more decimal digits than int-to-str conversion allows goes
-    # through the hex path, even when the product is large enough for decimal
+    # through the int path (byte slots), even when the product is large
+    # enough for decimal
     huge = 7 ** 6000 + 1  # 5071 digits, past the default cap of 4300
     monkeypatch.setattr(polys, "_DECIMAL_MIN_DIGITS", 0)
     rng = random.Random(4)
