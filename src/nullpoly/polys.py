@@ -10,13 +10,13 @@ are exact Kronecker substitutions (_kronecker): each factor is evaluated at
 x = base**width, one slot per coefficient, the two integers are multiplied
 once, and the product's coefficients are read back off its slots. Every
 product and factor coefficient c has |c| <= mag, the factors' largest
-magnitudes (at least 1) times the shorter length. With no negative
-coefficient in either factor (every product of residues), a slot's range
-need only exceed mag. Otherwise it exceeds 2 * mag, a factor with a
-negative coefficient is packed as the magnitudes of its positive minus
-those of its negative coefficients, and half a slot's range is added to
-every slot of the product and taken out again while reading, so no slot
-borrows from the next.
+magnitudes (at least 1) times the shorter length. A slot's range exceeds
+2 * mag, a factor is packed as the magnitudes of its positive minus those
+of its negative coefficients, and half a slot's range is added to every
+slot of the product and taken out again while reading, so no slot
+borrows from the next. The int path skips the negative magnitudes and the
+offset, and needs a range over mag only, when neither factor has a
+negative coefficient (every product of residues).
 
 Below _DECIMAL_MIN_DIGITS packed decimal digits the int path (byte slots)
 packs by int.to_bytes, multiplies CPython ints (Karatsuba) and reads back
@@ -143,10 +143,11 @@ class Polynomial(Record):
 _set_coeffs = Polynomial.coeffs.__set__
 
 # Products of polynomials with at least this many terms each go through
-# _kronecker. Measured on n x n random products (Python 3.11, 2-core x86-64):
-# _kronecker wins from n = 24 with coefficients of up to 84 bits, from
-# n = 48 at 400 bits and from n = 32 at 1600 bits.
-_KRONECKER_MIN_TERMS = 32
+# _kronecker. Measured on n x n random signed products against byte slots
+# (Python 3.11, 2-core x86-64): _kronecker wins from n = 16-20 with
+# coefficients of 30 and 84 bits, and from n = 24 at 400 and 1600 bits,
+# where n = 20 is still 7-27% slower than the schoolbook loop.
+_KRONECKER_MIN_TERMS = 24
 # _kronecker multiplies by the decimal module once the product packs into
 # this many decimal digits, and by CPython's Karatsuba ints below it. On
 # the same host, against byte slots, the int product wins up to about
@@ -160,11 +161,9 @@ _DECIMAL_MIN_DIGITS = 120_000
 def _slots(coeffs, width: int) -> tuple[str, str]:
     """Decimal digits of sum_i |c_i| * 10**(width * i) over the positive and
     over the negative c_i: one slot of width digits per coefficient,
-    |c_i| < 10**width. The second is empty when no c_i is negative."""
+    |c_i| < 10**width."""
     fmt, zero = f"0{width}d", "0" * width
     coeffs = coeffs[::-1]
-    if min(coeffs) >= 0:
-        return "".join([format(c, fmt) for c in coeffs]), ""
     return ("".join([format(c, fmt) if c > 0 else zero for c in coeffs]),
             "".join([format(-c, fmt) if c < 0 else zero for c in coeffs]))
 
@@ -174,12 +173,9 @@ def _kronecker(a, b) -> list[int]:
     by Kronecker substitution (module docstring)."""
     n = len(a) + len(b) - 1
     lo_a, lo_b = min(a), min(b)
-    signed = lo_a < 0 or lo_b < 0
-    # every coefficient c of the product, and of each factor, has
-    # |c| <= mag < 2**(bits - signed)
+    # every coefficient c of the product, and of each factor, has |c| <= mag
     mag = max(max(a), -lo_a, 1) * max(max(b), -lo_b, 1) * min(len(a), len(b))
-    bits = mag.bit_length() + signed
-    width = bits * 30103 // 100000 + 1  # 10**width >= 2**bits
+    width = (mag.bit_length() + 1) * 30103 // 100000 + 1  # 10**width > 2 * mag
     if n * width >= _DECIMAL_MIN_DIGITS and not 0 < sys.get_int_max_str_digits() < width:
         from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 
@@ -187,16 +183,16 @@ def _kronecker(a, b) -> list[int]:
 
         def value(c):  # c at x = 10**width
             pos, neg = _slots(c, width)
-            return ctx.subtract(Decimal(pos), Decimal(neg)) if neg else Decimal(pos)
+            return ctx.subtract(Decimal(pos), Decimal(neg))
 
         x = value(a)
-        z, h = ctx.multiply(x, x if a is b else value(b)), 0
-        if signed:  # half a slot's range added to every slot
-            half = "5" + "0" * (width - 1)
-            z, h = ctx.add(z, Decimal(half * n)), int(half)
-        digits = str(z).zfill(n * width)
+        z = ctx.multiply(x, x if a is b else value(b))
+        half = "5" + "0" * (width - 1)  # half a slot's range, added to every slot
+        digits = str(ctx.add(z, Decimal(half * n))).zfill(n * width)
+        h = int(half)
         return [int(digits[i - width:i]) - h for i in range(n * width, 0, -width)]
-    width = bits // 8 + 1  # 256**width >= 2**bits
+    signed = lo_a < 0 or lo_b < 0
+    width = (mag.bit_length() + signed) // 8 + 1  # 256**width > mag, or 2 * mag if signed
     zero = bytes(width)
 
     def value(c, lo):  # c at x = 256**width, slots little-endian

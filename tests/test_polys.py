@@ -77,8 +77,8 @@ def test_kronecker_matches_schoolbook(monkeypatch, decimal_min_digits):
                          (t, 3 * t, 600), (t + 1, 5, 40), (70, 90, 1200), (200, 150, 2000)]:
         for _ in range(3):
             _assert_kernel_exact(_signed_coeffs(rng, na, bits), _signed_coeffs(rng, nb, bits))
-            # neither factor negative: no negative digits and no offset,
-            # and one factor negative: the offset with one unsigned factor
+            # neither factor negative: the int path packs no negative
+            # magnitudes and adds no offset; and one factor negative
             _assert_kernel_exact(_nonnegative_coeffs(rng, na, bits), _nonnegative_coeffs(rng, nb, bits))
             _assert_kernel_exact(_nonnegative_coeffs(rng, na, bits), _signed_coeffs(rng, nb, bits))
     _assert_kernel_exact([0, 0, 5], [-7])
