@@ -236,8 +236,9 @@ def _cmd_count(args):
         res = counting.count_null_le(n, p, d)
         label = f"N_np(<={n}, {p}^{d})"
     verified = None
-    # enumerate while count_null_le(n) = p**E(n) <= 4096
-    if _count_at_most(p, counting.null_count_exponent(n, p, d), 4096):
+    # enumerate while count_null_le(n) = p**E(n) <= 4096 and p**d can be built
+    if (d * log2(p) <= counting._POWER_BITS
+            and _count_at_most(p, counting.null_count_exponent(n, p, d), 4096)):
         polys = list(counting.enumerate_null(p, d, n))
         if args.monic:
             # enumerate_null yields reduced polynomials

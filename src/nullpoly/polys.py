@@ -5,8 +5,9 @@ integer coefficients, ascending by degree. The zero polynomial is the empty
 tuple and reports degree ``None`` (a nonzero constant has degree 0, which is
 a different thing and must stay distinguishable for the counting code).
 
-Products of two polynomials with at least _KRONECKER_MIN_TERMS terms each
-are exact Kronecker substitutions (_kronecker): each factor is evaluated at
+A product with an int or a one-term polynomial scales the other factor
+coefficient by coefficient. Every other product of two polynomials is one
+exact Kronecker substitution (_kronecker): each factor is evaluated at
 x = base**width, one slot per coefficient, the two integers are multiplied
 once, and the product's coefficients are read back off its slots. Every
 product and factor coefficient c has |c| <= mag, the factors' largest
@@ -29,7 +30,7 @@ coefficient at a time, parses each packed string once, and reads back by
 slicing the product's digit string. A slot wider than
 sys.get_int_max_str_digits() takes the int path. Only this module packs
 integers into slots. product() multiplies many factors as a product tree,
-so that few products are large and those reach the kernel.
+so that few products are large and those are balanced.
 """
 from __future__ import annotations
 
@@ -83,19 +84,18 @@ class Polynomial(Record):
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial(())
-        if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS:
+        # an int or a one-term factor (every power's first product) scales
+        # the other, far cheaper than packing slots; every other product is
+        # one Kronecker substitution
+        a, b = self.coeffs, (other,) if isinstance(other, int) else other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) > 1:
             return Polynomial(_kronecker(a, b))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
+        if not b:
+            return Polynomial(())
+        s = b[0]
+        return Polynomial(tuple(c * s for c in a))
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -142,12 +142,6 @@ class Polynomial(Record):
 # Writes the slot past the raising __setattr__; only __init__ uses it.
 _set_coeffs = Polynomial.coeffs.__set__
 
-# Products of polynomials with at least this many terms each go through
-# _kronecker. Measured on n x n random signed products against byte slots
-# (Python 3.11, 2-core x86-64): _kronecker wins from n = 16-20 with
-# coefficients of 30 and 84 bits, and from n = 24 at 400 and 1600 bits,
-# where n = 20 is still 7-27% slower than the schoolbook loop.
-_KRONECKER_MIN_TERMS = 24
 # _kronecker multiplies by the decimal module once the product packs into
 # this many decimal digits, and by CPython's Karatsuba ints below it. On
 # the same host, against byte slots, the int product wins up to about
@@ -214,8 +208,8 @@ def _kronecker(a, b) -> list[int]:
 def product(factors: Iterable[Polynomial]) -> Polynomial:
     """The product of the factors (1 if there are none) by a product tree
     that always multiplies the two of least degree next. Factors of one
-    degree make a balanced tree, so the few largest products are the ones
-    that reach _kronecker."""
+    degree make a balanced tree, so the few largest products have factors
+    of equal length."""
     heap = [(len(f.coeffs), i, f) for i, f in enumerate(factors)]
     if not heap:
         return Polynomial((1,))

@@ -21,9 +21,9 @@ from math import gcd
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Miller-Rabin with these witnesses, the first thirteen primes, is
-# deterministic below _MR_PROVEN_BOUND (Sorenson & Webster 2017; OEIS A014233).
+# deterministic below 3317044064679887385961981 (Sorenson & Webster 2017;
+# OEIS A014233).
 _MR_WITNESSES = _SMALL_PRIMES
-_MR_PROVEN_BOUND = 3317044064679887385961981
 
 # Trial division runs below this bound; a larger cofactor goes to rho.
 _TRIAL_BOUND = 1 << 10

@@ -329,13 +329,27 @@ def test_cli_import_loads_neither_dataclasses_nor_typing():
 
 
 def test_count_cross_check_at_a_huge_modulus_answers():
-    # the enumeration rows scale by p^d / g without a 2d-bit product mod p^d
+    # the enumeration rows scale by p^d / g without a 2d-bit product mod p^d;
+    # 2^8000000 is just below counting._POWER_BITS, so the cross-check runs
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-m", "nullpoly.cli", "count", "3", "2", "9999999", "--json"],
+    done = subprocess.run([sys.executable, "-m", "nullpoly.cli", "count", "3", "2", "8000000", "--json"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     payload = json.loads(done.stdout)
     assert payload["result"]["count"] == 4 and payload["verified"] is True
+
+
+def test_count_past_the_power_limit_answers_unverified():
+    # 3^99999999 is over counting._POWER_BITS: the count, 3, is answered, and
+    # the enumeration cross-check, which would build 3^99999999, is skipped
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "nullpoly.cli", "count", "3", "3", "99999999", "--json"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["result"]["count"] == 3 and payload["verified"] is None
 
 
 def test_crt_refuses_a_prime_power_too_large_to_build():

@@ -128,6 +128,24 @@ def test_only_polys_packs_integers_into_slots():
     assert found == []
 
 
+def test_every_module_constant_is_read():
+    # a module-level _UPPER_CASE constant that nothing in src/ reads is a
+    # dead tuning knob
+    defined, read = {}, set()
+    for path in sorted((ROOT / "src" / "nullpoly").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for name in (n for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if re.fullmatch(r"_[A-Z][A-Z0-9_]*", name.id):
+                    defined[name.id] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    assert defined
+    assert sorted(where for name, where in defined.items() if name not in read) == []
+
+
 def test_src_has_no_bare_assert():
     # python -O strips assert statements; result checks must raise instead
     found = []

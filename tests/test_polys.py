@@ -44,6 +44,50 @@ def test_mul_examples():
     assert f * Polynomial((-2, -1, 1)) == Polynomial((0, 2, -1, -2, 1))
 
 
+def _counting_kernel(monkeypatch) -> list:
+    """Wrap polys._kronecker; the returned list gets one entry per call."""
+    calls, kernel = [], polys._kronecker
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return kernel(a, b)
+
+    monkeypatch.setattr(polys, "_kronecker", counted)
+    return calls
+
+
+def test_every_product_of_two_multi_term_polynomials_is_a_kronecker_product(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    one = X + Polynomial((1,))
+    assert one * one == Polynomial((1, 2, 1))
+    assert calls == [(2, 2)]
+    rng = random.Random(5)
+    for na, nb in [(2, 23), (23, 2), (2, 2), (3, 5), (23, 23), (24, 24)]:
+        calls.clear()
+        a, b = _signed_coeffs(rng, na, 40), _signed_coeffs(rng, nb, 40)
+        assert Polynomial(a) * Polynomial(b) == Polynomial(schoolbook_product(a, b))
+        assert len(calls) == 1 and sorted(calls[0]) == sorted((na, nb))
+
+
+def test_one_term_factors_scale_the_other(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    rng = random.Random(6)
+    for n in (1, 2, 7, 40):
+        f = _signed_coeffs(rng, n, 300)
+        if n > 1:
+            f[0] = 0  # zeros among the coefficients
+        for c in (-(2 ** 200) - 1, -3, -1, 1, 5, 2 ** 130):
+            want = Polynomial(schoolbook_product(f, [c]))
+            assert Polynomial(f) * Polynomial((c,)) == want
+            assert Polynomial((c,)) * Polynomial(f) == want
+            assert Polynomial(f) * c == want and c * Polynomial(f) == want
+        assert Polynomial(f) * 0 == Polynomial(()) == 0 * Polynomial(f)
+        assert Polynomial(f) * Polynomial(()) == Polynomial(()) == Polynomial(()) * Polynomial(f)
+    assert Polynomial(()) * 7 == Polynomial(())
+    assert X ** 0 == Polynomial((1,)) and X ** 1 == X
+    assert calls == []
+
+
 def _signed_coeffs(rng, n, bits):
     """n coefficients: zeros, tiny ones and ones of up to bits bits, mixed
     signs, the last nonzero."""
@@ -72,9 +116,8 @@ def test_kronecker_matches_schoolbook(monkeypatch, decimal_min_digits):
     if decimal_min_digits is not None:
         monkeypatch.setattr(polys, "_DECIMAL_MIN_DIGITS", decimal_min_digits)
     rng = random.Random(f"kronecker:{decimal_min_digits}")
-    t = polys._KRONECKER_MIN_TERMS
-    for na, nb, bits in [(1, 1, 8), (1, 40, 200), (2, 3, 1), (t - 1, t - 1, 80), (t, t, 80),
-                         (t, 3 * t, 600), (t + 1, 5, 40), (70, 90, 1200), (200, 150, 2000)]:
+    for na, nb, bits in [(1, 1, 8), (1, 40, 200), (40, 1, 300), (2, 3, 1), (23, 23, 80), (24, 24, 80),
+                         (24, 72, 600), (25, 5, 40), (70, 90, 1200), (200, 150, 2000)]:
         for _ in range(3):
             _assert_kernel_exact(_signed_coeffs(rng, na, bits), _signed_coeffs(rng, nb, bits))
             # neither factor negative: the int path packs no negative
