@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from math import log2, log10, prod
+from math import lgamma, log, log2, log10, prod
 
 from . import canonical, construct, counting, modulus, oracle
 from .polys import (
@@ -119,6 +119,11 @@ def _cmd_construct(args):
         poly = construct.build_tower(p, d)[-1]
         m = p ** construct.repunit(p, d)
     else:
+        # mu nonzero coefficients sum to mu!: the largest is at least (mu-1)!
+        limit, mu = sys.get_int_max_str_digits(), construct.omega1_prime_power(p, d)
+        if limit and lgamma(mu) / log(10) >= limit + 1:
+            raise ValueError(f"kempner(p={p}, d={d}) has a coefficient of over {limit} decimal digits, "
+                             f"the sys.get_int_max_str_digits() limit for printing")
         poly = modulus.kempner_basis(p ** d)
         m = p ** d
     if not oracle.is_null_binomial(poly, m):
@@ -167,8 +172,10 @@ def _cmd_check_null(args):
 def _cmd_order(args):
     f = parse_polynomial(args.poly)
     p = args.p
-    order = oracle.null_order(f, p, args.max)
-    capped = order == args.max
+    if args.max < 0:
+        raise ValueError("--max must be >= 0")
+    order = oracle.null_order(f, p, args.max + 1)  # one power of p more: was --max the bound?
+    order, capped = min(order, args.max), order > args.max
     suffix = f" (capped at --max {args.max})" if capped else ""
     return [f"order={order}{suffix}"], dict(
         inputs={"polynomial": _poly_json(f), "p": p, "max": args.max},

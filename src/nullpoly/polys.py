@@ -11,26 +11,25 @@ exact Kronecker substitution (_kronecker): each factor is evaluated at
 x = base**width, one slot per coefficient, the two integers are multiplied
 once, and the product's coefficients are read back off its slots. Every
 product and factor coefficient c has |c| <= mag, the factors' largest
-magnitudes (at least 1) times the shorter length. A slot's range exceeds
-2 * mag, a factor is packed as the magnitudes of its positive minus those
-of its negative coefficients, and half a slot's range is added to every
-slot of the product and taken out again while reading, so no slot
-borrows from the next. The int path skips the negative magnitudes and the
-offset, and needs a range over mag only, when neither factor has a
-negative coefficient (every product of residues).
+magnitudes (at least 1) times the shorter length. There is one slot
+format: a slot's range exceeds 2 * mag, a factor is packed as the
+magnitudes of its positive minus those of its negative coefficients, and
+half a slot's range is added to every slot of the product and taken out
+again while reading, so no slot borrows from the next.
 
-Below _DECIMAL_MIN_DIGITS packed decimal digits the int path (byte slots)
-packs by int.to_bytes, multiplies CPython ints (Karatsuba) and reads back
-by int.from_bytes. From there on the base is 10 and the product is
-decimal.Context.multiply at MAX_PREC, libmpdec's number-theoretic
-transform; decimal is imported only there, so start-up never pays for it.
-That path never converts between int and Decimal (Decimal(int) and
-int(Decimal) are quadratic: seconds at 10**5 digits): it formats one
-coefficient at a time, parses each packed string once, and reads back by
-slicing the product's digit string. A slot wider than
-sys.get_int_max_str_digits() takes the int path. Only this module packs
-integers into slots. product() multiplies many factors as a product tree,
-so that few products are large and those are balanced.
+The route reads the product's size alone. Below _DECIMAL_MIN_DIGITS packed
+decimal digits the int path (byte slots) packs by int.to_bytes, multiplies
+CPython ints (Karatsuba) and reads back by int.from_bytes. From there on
+the base is 10 and the product is decimal.Context.multiply at MAX_PREC,
+libmpdec's number-theoretic transform; decimal is imported only there, so
+start-up never pays for it. That path never converts a packed integer
+between int and Decimal (both ways are quadratic: seconds at 10**5
+digits): it formats one coefficient at a time, parses each packed string
+once, and reads back by slicing the product's digit string. A slot wider
+than sys.get_int_max_str_digits(), which caps int <-> str, is written and
+read through Decimal, whose conversions have no cap. Only this module
+packs integers into slots. product() multiplies many factors as a product
+tree, so that few products are large and those are balanced.
 """
 from __future__ import annotations
 
@@ -152,55 +151,44 @@ _set_coeffs = Polynomial.coeffs.__set__
 _DECIMAL_MIN_DIGITS = 120_000
 
 
-def _slots(coeffs, width: int) -> tuple[str, str]:
-    """Decimal digits of sum_i |c_i| * 10**(width * i) over the positive and
-    over the negative c_i: one slot of width digits per coefficient,
-    |c_i| < 10**width."""
-    fmt, zero = f"0{width}d", "0" * width
-    coeffs = coeffs[::-1]
-    return ("".join([format(c, fmt) if c > 0 else zero for c in coeffs]),
-            "".join([format(-c, fmt) if c < 0 else zero for c in coeffs]))
-
-
 def _kronecker(a, b) -> list[int]:
     """Coefficients of the product of two nonempty coefficient sequences,
     by Kronecker substitution (module docstring)."""
     n = len(a) + len(b) - 1
-    lo_a, lo_b = min(a), min(b)
     # every coefficient c of the product, and of each factor, has |c| <= mag
-    mag = max(max(a), -lo_a, 1) * max(max(b), -lo_b, 1) * min(len(a), len(b))
+    mag = max(max(a), -min(a), 1) * max(max(b), -min(b), 1) * min(len(a), len(b))
     width = (mag.bit_length() + 1) * 30103 // 100000 + 1  # 10**width > 2 * mag
-    if n * width >= _DECIMAL_MIN_DIGITS and not 0 < sys.get_int_max_str_digits() < width:
+    if n * width >= _DECIMAL_MIN_DIGITS:
         from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 
         ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        fmt, zero = f"0{width}", "0" * width
+        # slots past the int <-> str digit cap convert through Decimal
+        num = Decimal if 0 < sys.get_int_max_str_digits() < width else int
 
         def value(c):  # c at x = 10**width
-            pos, neg = _slots(c, width)
+            c = c[::-1]
+            pos = "".join([format(num(v), fmt) if v > 0 else zero for v in c])
+            neg = "".join([format(num(-v), fmt) if v < 0 else zero for v in c])
             return ctx.subtract(Decimal(pos), Decimal(neg))
 
         x = value(a)
         z = ctx.multiply(x, x if a is b else value(b))
         half = "5" + "0" * (width - 1)  # half a slot's range, added to every slot
         digits = str(ctx.add(z, Decimal(half * n))).zfill(n * width)
-        h = int(half)
-        return [int(digits[i - width:i]) - h for i in range(n * width, 0, -width)]
-    signed = lo_a < 0 or lo_b < 0
-    width = (mag.bit_length() + signed) // 8 + 1  # 256**width > mag, or 2 * mag if signed
+        h = int(num(half))
+        return [int(num(digits[i - width:i])) - h for i in range(n * width, 0, -width)]
+    width = (mag.bit_length() + 1) // 8 + 1  # 256**width > 2 * mag
     zero = bytes(width)
 
-    def value(c, lo):  # c at x = 256**width, slots little-endian
-        if lo >= 0:
-            return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in c]), "little")
+    def value(c):  # c at x = 256**width, slots little-endian
         pos = b"".join([v.to_bytes(width, "little") if v > 0 else zero for v in c])
         neg = b"".join([(-v).to_bytes(width, "little") if v < 0 else zero for v in c])
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    x = value(a, lo_a)
-    z, h = x * (x if a is b else value(b, lo_b)), 0
-    if signed:  # half a slot's range added to every slot
-        h = 1 << 8 * width - 1
-        z += int.from_bytes(h.to_bytes(width, "little") * n, "little")
+    x = value(a)
+    h = 1 << 8 * width - 1  # half a slot's range, added to every slot
+    z = x * (x if a is b else value(b)) + int.from_bytes(h.to_bytes(width, "little") * n, "little")
     z = z.to_bytes(n * width, "little")
     return [int.from_bytes(z[i:i + width], "little") - h for i in range(0, n * width, width)]
 
@@ -283,6 +271,8 @@ def parse_polynomial(text: str) -> Polynomial:
         pos = match.end()
         first = False
     size = max(terms) + 1
+    if size > sys.maxsize:  # more entries than a list can index
+        raise ValueError(f"degree {size - 1} is too large for a coefficient list")
     coeffs = [0] * size
     for k, c in terms.items():
         coeffs[k] = c

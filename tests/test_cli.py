@@ -206,6 +206,50 @@ def test_order_answers_a_huge_max_at_once(capsys):
     assert payload["result"] == {"order": 1, "capped": False}
 
 
+def test_order_is_capped_only_when_the_cap_bounded_the_answer(capsys):
+    # x^2 - x is null mod 2 but not mod 4: --max 1 is the answer, not a cap
+    code, out, _ = run_cli(capsys, "order", "x^2-x", "2", "--max", "1")
+    assert (code, out) == (0, "order=1\n")
+    payload = run_json(capsys, "order", "x^2-x", "2", "--max", "1")
+    assert payload["result"] == {"order": 1, "capped": False}
+    # x^4 - 2x^3 + x^2 is null mod 4: --max 1 bounds it
+    payload = run_json(capsys, "order", "x^4-2x^3+x^2", "2", "--max", "1")
+    assert payload["result"] == {"order": 1, "capped": True}
+    code, out, _ = run_cli(capsys, "order", "0", "2")
+    assert (code, out) == (0, "order=64 (capped at --max 64)\n")
+    assert run_json(capsys, "order", "x^2-x", "2", "--max", "0")["result"] == {"order": 0, "capped": True}
+    code, out, err = run_cli(capsys, "order", "x^2-x", "2", "--max", "-1")
+    assert (code, out, err) == (1, "", "error: --max must be >= 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-null", "x^99999999999999999999", "7"),
+    ("reduce", "x^99999999999999999999+1", "7"),
+    ("order", "x^99999999999999999999", "7"),
+    ("equiv", "x", "x^99999999999999999999", "7"),
+])
+def test_an_exponent_no_list_can_index_is_refused(capsys, argv):
+    # without the check, [0] * (degree + 1) raises OverflowError
+    for flags in ((), ("--json",)):
+        code, out, err = run_cli(capsys, *flags, *argv)
+        assert (code, out, err) == (1, "", "error: degree 99999999999999999999 is too large for a coefficient list\n")
+
+
+def test_construct_kempner_refuses_a_coefficient_too_long_to_print(capsys):
+    # mu = 2003: the largest coefficient is at least 2002!, 5743 digits; it
+    # is refused before the 2003 linear factors are multiplied
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "2003", "1", "--family", "kempner")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == ("error: kempner(p=2003, d=1) has a coefficient of over 4300 decimal digits, "
+                   "the sys.get_int_max_str_digits() limit for printing\n")
+    # mu = 1511 still answers: every coefficient is under the limit
+    code, out, err = run_cli(capsys, "construct", "1511", "1", "--family", "kempner")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "verified: null (newton oracle)"
+
+
 def test_exit_codes(capsys, monkeypatch):
     # 0 answered, 1 refused input, 2 unreadable input, 3 failed result check
     assert run_cli(capsys, "omega", "8")[0] == 0

@@ -1,3 +1,4 @@
+import decimal
 import random
 import sys
 
@@ -120,8 +121,8 @@ def test_kronecker_matches_schoolbook(monkeypatch, decimal_min_digits):
                          (24, 72, 600), (25, 5, 40), (70, 90, 1200), (200, 150, 2000)]:
         for _ in range(3):
             _assert_kernel_exact(_signed_coeffs(rng, na, bits), _signed_coeffs(rng, nb, bits))
-            # neither factor negative: the int path packs no negative
-            # magnitudes and adds no offset; and one factor negative
+            # neither factor negative, and one factor negative: both paths
+            # pack every sign pattern into the same signed slots
             _assert_kernel_exact(_nonnegative_coeffs(rng, na, bits), _nonnegative_coeffs(rng, nb, bits))
             _assert_kernel_exact(_nonnegative_coeffs(rng, na, bits), _signed_coeffs(rng, nb, bits))
     _assert_kernel_exact([0, 0, 5], [-7])
@@ -143,22 +144,31 @@ def test_kronecker_decimal_threshold_is_met_on_both_sides():
 
 
 def test_kronecker_past_the_int_str_digit_limit(monkeypatch):
-    # a slot of more decimal digits than int-to-str conversion allows goes
-    # through the int path (byte slots), even when the product is large
-    # enough for decimal
+    # the route reads the product's size alone: slots of more decimal digits
+    # than int <-> str conversion allows take the decimal path as well, and
+    # their digits go through Decimal, whose conversions have no cap
     huge = 7 ** 6000 + 1  # 5071 digits, past the default cap of 4300
     monkeypatch.setattr(polys, "_DECIMAL_MIN_DIGITS", 0)
+    multiplies = []
+
+    class CountingContext(decimal.Context):
+        def multiply(self, x, y):
+            multiplies.append(1)
+            return super().multiply(x, y)
+
+    monkeypatch.setattr(decimal, "Context", CountingContext)
     rng = random.Random(4)
     a = [rng.randint(-9, 9) for _ in range(40)] + [huge]
     b = [-huge] + [rng.randint(-9, 9) for _ in range(39)] + [huge]
-    _assert_kernel_exact(a, b)
     limit = sys.get_int_max_str_digits()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    for cap in (sys.int_info.default_max_str_digits, 0):  # the default cap, and none
+        multiplies.clear()
+        sys.set_int_max_str_digits(cap)
         try:
-            _assert_kernel_exact(a, b)  # no cap: the decimal path
+            _assert_kernel_exact(a, b)
         finally:
             sys.set_int_max_str_digits(limit)
+        assert len(multiplies) == 3  # one per product _assert_kernel_exact takes
 
 
 def test_product_tree():
