@@ -119,11 +119,13 @@ def _cmd_construct(args):
         poly = construct.build_tower(p, d)[-1]
         m = p ** construct.repunit(p, d)
     else:
-        # mu nonzero coefficients sum to mu!: the largest is at least (mu-1)!
+        # the coefficients' magnitudes sum to mu!: refuse when mu! is over the
+        # limit; for mu = 1545-1565 the largest is over it just then (4299
+        # digits at mu = 1558, 4302 at 1559 under the default 4300)
         limit, mu = sys.get_int_max_str_digits(), construct.omega1_prime_power(p, d)
-        if limit and lgamma(mu) / log(10) >= limit + 1:
-            raise ValueError(f"kempner(p={p}, d={d}) has a coefficient of over {limit} decimal digits, "
-                             f"the sys.get_int_max_str_digits() limit for printing")
+        if limit and lgamma(mu + 1) / log(10) >= limit:
+            raise ValueError(f"kempner(p={p}, d={d}) has coefficients whose magnitudes sum to {mu}!, "
+                             f"over {limit} decimal digits, the sys.get_int_max_str_digits() limit for printing")
         poly = modulus.kempner_basis(p ** d)
         m = p ** d
     if not oracle.is_null_binomial(poly, m):

@@ -6,22 +6,9 @@ a_k ≡ 0 (mod m) (Singmaster 1974): a term's values are a_k * C(x, k), and
 a_k is a Z-combination of f(0..k). From the first k with k! ≡ 0 (mod m),
 k = mu(m), every a_k ≡ 0, so a scan stops there without factoring m.
 _falling_coords gives k! and b_k mod m, with no evaluations, and stops
-there by itself. Below _HORNER_MIN_BITS bits of m, or for f of fewer
-than _HORNER_MIN_TERMS coefficients, it runs synthetic division: one
-interpreted multiply-add and % m per coefficient and coordinate, every
-value below a one-digit m a one-digit int. Past both thresholds only the
-first _DIVISION_PASSES coordinates come that way, so a non-null f whose
-first nonzero coordinate is early is still answered at once; the rest
-come from _horner_tail. That is Horner's rule on the falling basis: with
-P_j = (x-s)(x-s-1)...(x-s-j+1), x * P_j = P_(j+1) + (s+j) * P_j, so
-g -> x*g + c moves the whole coordinate vector at once, in two C-level
-map passes, reduced mod m only every _HORNER_REDUCE steps. Coordinate j
-depends on those at or below it alone, so the vector runs in blocks,
-each fed by the top entry of the block below and doubling in width up
-to _HORNER_BLOCK, and a consumer that stops early pays for at most one
-block more. The cost is the same O(deg * min(deg, mu)) multiply-adds,
-about 1.4-1.5 times as fast on the least monic null polynomials mod
-5**200 and 7**148.
+there by itself; its docstring describes its two steps, synthetic division
+and Horner's rule on the falling basis in blocks, the latter about 1.4-1.5
+times as fast on the least monic null polynomials mod 5**200 and 7**148.
 A prime m needs no transform for nullity. _fold folds f by x**m - x, the
 paper's null polynomial: every x**k with k >= m goes onto x**(k-m+1),
 leaving degree < m, and f and its fold are the same function mod m. By
@@ -56,20 +43,20 @@ def _fold(coeffs: Sequence[int], p: int) -> list[int]:
     return [coeffs[0] % p] + [sum(coeffs[j::p - 1]) % p for j in range(1, min(len(coeffs), p))]
 
 
-# _falling_coords leaves synthetic division for _horner_tail once m has at
+# _falling_coords leaves synthetic division for its blocks once m has at
 # least _HORNER_MIN_BITS bits and f at least _HORNER_MIN_TERMS coefficients.
 # Measured (Python 3.11, 2-core x86-64) on random f mod primes, every
 # coordinate taken: at 400 coefficients division wins while m fits one
-# 30-bit digit (12 against 15 ms at 2**30), the tail from two digits on
+# 30-bit digit (12 against 15 ms at 2**30), the blocks from two digits on
 # (24 against 16 ms at 2**32, 16 against 11 ms at 2**80). From 40 to 512
-# bits the tail took 0.87-1.5 times division's time at 32 coefficients,
+# bits the blocks took 0.87-1.5 times division's time at 32 coefficients,
 # 0.82-1.19 at 128 and 0.75-0.89 at 512.
 _HORNER_MIN_BITS = 33
 _HORNER_MIN_TERMS = 128
 # Coordinates still taken by division past both thresholds: a non-null f
-# with an early nonzero coordinate is answered without a block of the tail.
+# with an early nonzero coordinate is answered without a block.
 _DIVISION_PASSES = 8
-# Widest block of the tail, and Horner steps between reductions mod m. On
+# Widest block, and Horner steps between reductions mod m. On
 # the least monic null polynomials mod 5**200 (degree 805) and 7**148 (896)
 # blocks of 64 and 128, doubling from the first or not, and reductions
 # every 16 or 32 steps all cost within the host's noise of each other
@@ -84,54 +71,49 @@ def _falling_coords(coeffs: Sequence[int], m: int) -> Iterator[tuple[int, int]]:
     """Yield (k! mod m, b_k mod m), where
     sum_i coeffs[i] * x**i = sum_k b_k * x(x-1)...(x-k+1), for k < len(coeffs),
     ending at the first k with k! ≡ 0 (mod m), k = mu(m): from there every
-    term is null, and the end is found without factoring m.
+    term is null, and the end is found without factoring m. Callers with a
+    prime m fold f first (module docstring).
 
-    Step k divides the quotient left by step k-1 by (x - k) in place, with
-    remainder b_k: O(deg * min(deg, mu)) interpreted multiply-adds and
-    reductions mod m. Below _HORNER_MIN_BITS bits of m or _HORNER_MIN_TERMS
-    coefficients every step runs so. Past both only the first
-    _DIVISION_PASSES do; what is left, c[s:] = sum_j b_(s+j) (x-s)...(x-s-j+1),
-    goes to _horner_tail: the same count of multiply-adds, in C-level map
-    passes. Callers with a prime m fold f first (module docstring)."""
-    c = [a % m for a in coeffs]
-    fact = 1 % m
-    passes = len(c)
+    One list q carries f's residues mod m, top coefficient first, through
+    two steps, each O(deg * min(deg, mu)) multiply-adds.
+
+    Division: step k divides q by (x - k) in place and pops b_k, the
+    remainder, off its end, leaving the coefficients of
+    sum_j b_(k+1+j) * (x-k-1)...(x-k-j): one interpreted multiply-add and
+    % m per entry. Below _HORNER_MIN_BITS bits of m or _HORNER_MIN_TERMS
+    coefficients every step runs so; past both only the first
+    _DIVISION_PASSES do, so a non-null f whose first nonzero coordinate is
+    early is answered at once.
+
+    Blocks: the rest runs Horner's rule g -> x*g + c on B, g's coordinates
+    in P_j = (x-k)(x-k-1)...(x-k-j+1), k the next coordinate, fed q's
+    entries. Since x * P_j = P_(j+1) + (k+j) * P_j, B[j]
+    becomes B[j-1] + (k+j) * B[j] and B[0] becomes c + k * B[0], in two
+    C-level map passes. Coordinate j depends on j-1 and itself alone, so a
+    block of coordinates j0 <= j < j0 + width runs the same steps fed by
+    B[j0 - 1] before each step, the top entry of the block below, recorded
+    in tops, which becomes the next block's q. After t steps g has degree
+    t - 1, so a block is empty for its first j0 steps and grows by one
+    entry a step until full; a step that feeds 0 to a zero block leaves it
+    so and is skipped. Each block yields its coordinates before the next one
+    runs, and is as wide as the count of coordinates before it, up to
+    _HORNER_BLOCK: a consumer that stops at coordinate k has paid for at
+    most about min(k, _HORNER_BLOCK) more. B is reduced mod m every
+    _HORNER_REDUCE steps, so no entry exceeds m by more than about
+    _HORNER_REDUCE * log2(len(coeffs)) bits."""
+    q = [a % m for a in reversed(coeffs)]
+    fact, k = 1 % m, 0
+    passes = len(q)
     if m.bit_length() >= _HORNER_MIN_BITS and passes >= _HORNER_MIN_TERMS:
-        passes = min(passes, _DIVISION_PASSES)
-    for k in range(passes):
-        if not fact:
-            return
+        passes = _DIVISION_PASSES
+    while q and fact and k < passes:
         acc = 0
-        for i in range(len(c) - 1, k - 1, -1):
-            acc = (c[i] + k * acc) % m
-            c[i] = acc
-        yield fact, acc
-        fact = fact * (k + 1) % m
-    if fact and passes < len(c):
-        yield from _horner_tail(c[passes:][::-1], passes, fact, m)
-
-
-def _horner_tail(q: list[int], s: int, fact: int, m: int) -> Iterator[tuple[int, int]]:
-    """Yield (k! mod m, b_k mod m) for k = s, s+1, ..., s + len(q) - 1,
-    ending where k! ≡ 0 (mod m), given fact = s! mod m and the coefficients
-    q, top first, of sum_j b_(s+j) * P_j, P_j = (x-s)(x-s-1)...(x-s-j+1).
-
-    Horner's rule g -> x*g + c on B, g's coordinates in the P_j: since
-    x * P_j = P_(j+1) + (s+j) * P_j, B[j] becomes B[j-1] + (s+j) * B[j] and
-    B[0] becomes c + s * B[0]. Coordinate j depends on j-1 and itself
-    alone, so a block of coordinates j0 <= j < j0 + width runs the same
-    steps fed by B[j0 - 1] before each step, the top entry of the block
-    below, recorded there; the first block is fed the coefficients. After
-    t steps g has degree t - 1, so a block is empty for its first j0 steps
-    and grows by one entry a step until full; a step that feeds 0 to a
-    zero block leaves it so and is skipped. Each block yields its
-    coordinates before the next one runs, and is as wide as the count of
-    coordinates before it, up to _HORNER_BLOCK: a consumer that stops at
-    coordinate k has paid for at most about min(k, _HORNER_BLOCK) more.
-    B is reduced mod m every _HORNER_REDUCE steps, so no entry exceeds m
-    by more than about _HORNER_REDUCE * log2(s + len(q)) bits."""
+        for i in range(len(q)):
+            q[i] = acc = (q[i] + k * acc) % m
+        yield fact, q.pop()
+        k += 1
+        fact = fact * k % m
     mod = m.__rmod__  # mod(v) == v % m
-    k = s
     while q and fact:
         width = min(_HORNER_BLOCK, len(q), max(k, 1))
         nodes = range(k + 1, k + width)

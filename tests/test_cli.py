@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from nullpoly import counting, oracle
+from nullpoly import counting, modulus, oracle
 from nullpoly.cli import build_parser, main
 from nullpoly.polys import Polynomial, parse_polynomial
 
@@ -236,21 +236,24 @@ def test_an_exponent_no_list_can_index_is_refused(capsys, argv):
 
 
 def test_construct_kempner_refuses_a_coefficient_too_long_to_print(capsys):
-    # mu = 2003: the largest coefficient is at least 2002!, 5743 digits; it
-    # is refused before the 2003 linear factors are multiplied
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "construct", "2003", "1", "--family", "kempner")
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (1, "")
-    assert err == ("error: kempner(p=2003, d=1) has a coefficient of over 4300 decimal digits, "
-                   "the sys.get_int_max_str_digits() limit for printing\n")
-    # mu = 1511 still answers: every coefficient is under the limit
-    code, out, err = run_cli(capsys, "construct", "1511", "1", "--family", "kempner")
+    # the coefficients' magnitudes sum to mu!, which is refused over the
+    # 4300-digit limit before the mu linear factors are multiplied: mu = 2003
+    # (2003! has 5746 digits) and mu = 1559, whose largest coefficient has
+    # 4302 digits while (mu-1)! has 4300
+    for p in (2003, 1559):  # mu(p) = p
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "construct", str(p), "1", "--family", "kempner")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (f"error: kempner(p={p}, d=1) has coefficients whose magnitudes sum to {p}!, "
+                       "over 4300 decimal digits, the sys.get_int_max_str_digits() limit for printing\n")
+    # mu(2^1553) = 1558 still answers: its largest coefficient has 4299 digits
+    code, out, err = run_cli(capsys, "construct", "2", "1553", "--family", "kempner")
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == "verified: null (newton oracle)"
 
 
-def test_exit_codes(capsys, monkeypatch):
+def test_exit_codes(capsys):
     # 0 answered, 1 refused input, 2 unreadable input, 3 failed result check
     assert run_cli(capsys, "omega", "8")[0] == 0
     code, _, err = run_cli(capsys, "check-null", "x^+oops", "8")
@@ -266,11 +269,40 @@ def test_exit_codes(capsys, monkeypatch):
     assert (code, err) == (1, "error: 4 is not prime\n")
     code, _, err = run_cli(capsys, "crt", "x", "2", "x")
     assert code == 2
-    # a failed result check: no traceback, one error line, nothing on stdout
-    monkeypatch.setattr(oracle, "null_witness", lambda f, m: 0)
-    for flags in ((), ("--json",)):
-        code, out, err = run_cli(capsys, *flags, "reduce", "x", "7")
-        assert (code, out, err) == (3, "", "error: reduction changed the function at x=0\n")
+    # 3, a failed result check: test_a_failed_result_check_withholds_the_answer
+
+
+# A result check per command, made to fail by patching the function its
+# answer or its check comes from: (argv, module, name, patch of the real
+# function, the error line's start).
+FAILED_CHECKS = {
+    "omega": (("omega", "12"), modulus, "omega1_composite", lambda real: lambda fm: real(fm) + 1,
+              "omega1=5 is not the least t with 12 | t!"),
+    "construct": (("construct", "2", "2"), oracle, "is_null_binomial", lambda real: lambda f, m: False,
+                  "constructed polynomial failed the null oracle"),
+    "enumerate": (("enumerate", "2", "2", "1"), oracle, "is_null_binomial", lambda real: lambda f, m: False,
+                  "enumerated polynomial is not null: "),
+    "check-null": (("check-null", "x^2-x", "2"), oracle, "null_witness", lambda real: lambda f, m: 0,
+                   "oracle disagreement: {'eval': False, 'binomial': True}"),
+    "equiv": (("equiv", "x", "x", "4"), oracle, "null_witness", lambda real: lambda f, m: 0,
+              "canonical form disagrees with the evaluation window"),
+    "reduce": (("reduce", "x", "7"), oracle, "null_witness", lambda real: lambda f, m: 0,
+               "reduction changed the function at x=0"),
+    "count": (("count", "3", "2", "2"), counting, "enumerate_null",
+              lambda real: lambda p, d, n: iter(list(real(p, d, n))[1:]), "count 4 != enumerated 3"),
+    "crt": (("crt", "x^2-x", "2^2", "x^3-x", "3"), modulus, "crt_combine_poly",
+            lambda real: lambda parts: real(parts) + Polynomial((1,)),
+            "combined polynomial not congruent mod 2^2"),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("argv, module, name, patch, message", FAILED_CHECKS.values(), ids=list(FAILED_CHECKS))
+def test_a_failed_result_check_withholds_the_answer(capsys, monkeypatch, flags, argv, module, name, patch, message):
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    code, out, err = run_cli(capsys, *flags, *argv)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: " + message), err
 
 
 def test_json_polynomials_round_trip_everywhere(capsys):
