@@ -120,8 +120,10 @@ def _cmd_construct(args):
         m = p ** construct.repunit(p, d)
     else:
         # the coefficients' magnitudes sum to mu!: refuse when mu! is over the
-        # limit; for mu = 1545-1565 the largest is over it just then (4299
-        # digits at mu = 1558, 4302 at 1559 under the default 4300)
+        # limit, so no unprintable basis is built; under the default 4300 the
+        # largest coefficient is over it just then for mu = 1545-1565 (4299
+        # digits at mu = 1558, 4302 at 1559), but under another limit the
+        # largest can be about a digit shorter than mu! and still print
         limit, mu = sys.get_int_max_str_digits(), construct.omega1_prime_power(p, d)
         if limit and lgamma(mu + 1) / log(10) >= limit:
             raise ValueError(f"kempner(p={p}, d={d}) has coefficients whose magnitudes sum to {mu}!, "
