@@ -21,8 +21,16 @@ and two integer products (polys._kronecker):
 - a_k = sum_{j<=k} C(k, j) (-1)**(k-j) f(j) is k! times the coefficient of
   x**k in (sum_j f(j) x**j / j!) * e**(-x), a second product, since every
   k! with k < p is a unit mod p.
+Everything the values path derives from p alone (the chirp and its
+inverse, the discrete logs, the factorials and the e**(-x) row) is built
+once per prime by _values_tables, in a bounded lru_cache; a call makes
+C-level map passes over them around its two products.
 """
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import accumulate
+from operator import mul, sub
 
 from ._record import Record
 from .modulus import kempner_mu
@@ -33,9 +41,10 @@ from .primes import is_prime, prime_factorization
 # Mod a prime p, canonical_form takes the values path when the fold's length
 # n has n**2 > _VALUES_CROSSOVER * p: the transform costs about n**2 / 2
 # steps, the values path about p steps and two products. The two cost the
-# same at n**2 / p = 61-72 (p = 457), 67-82 (1009), 118-163 (9973) and
-# 160-175 (99991) on a 2-core x86-64 host; at 110 neither pays over 1.8x.
-_VALUES_CROSSOVER = 110
+# same at n**2 / p = 20-25 (p = 457 and 1009), 100-130 (9973) and 100-160
+# (99991) on a 2-core x86-64 host, with the per-prime tables cached; at 70
+# neither pays over about 3x.
+_VALUES_CROSSOVER = 70
 
 
 class CanonicalForm(Record):
@@ -54,33 +63,27 @@ def _primitive_root(p: int) -> int:
     return g
 
 
-def _newton_coords_by_values(c: list[int], p: int) -> list[int]:
-    """a_k mod p, k < p, of sum_k c[k] * x**k with c nonempty residues mod
-    the prime p and len(c) <= p, from its values on F_p: Bluestein's chirp,
-    then the exponential generating function product (module docstring)."""
-    n = min(len(c), p - 1)
-    u = c[:n]
-    if len(c) == p:  # x**(p-1) is 1 at every x != 0
-        u[0] += c[p - 1]
+# Bounded for long-lived callers; bench's equiv workload asks about three
+# primes per seed. One entry is six tuples of about p residues, which share
+# one int object per residue: about 28 kB at p near 460, and 7.6 MB at p
+# near 10**5, the CLI's mu limit (measured by tracemalloc; building it peaks
+# at about 35 MB there), so a full cache of such primes holds about 30 MB.
+@lru_cache(maxsize=4)
+def _values_tables(p: int) -> tuple[tuple[int, ...], ...]:
+    """What the values path mod the prime p derives from p alone, each entry
+    a residue mod p: the chirp g**T(t) and its inverse for t < p - 1
+    (g = _primitive_root(p)); for x = 1..p-1 the discrete log i of
+    x = g**i and g**-T(i) / x!; the e**(-x) row (-1)**k / k! and the
+    factorials k!, k < p."""
     g = _primitive_root(p)
-    g_inv = pow(g, p - 2, p)
-    chirp, chirp_inv = [1] * (p - 1), [1] * (p - 1)  # g**T(t), g**-T(t)
-    step = step_inv = 1
-    for t in range(1, p - 1):
-        chirp[t] = chirp[t - 1] * step % p
-        chirp_inv[t] = chirp_inv[t - 1] * step_inv % p
-        step = step * g % p
-        step_inv = step_inv * g_inv % p
-    # g**T(t + p - 1) = -g**T(t), so the terms with i + k >= p - 1 are the
-    # product's coefficient p - 1 places lower, negated
-    s = _kronecker([u[k] * chirp_inv[k] % p for k in range(n - 1, -1, -1)], chirp)
-    values = [0] * p
-    values[0] = c[0]
-    x = 1
-    for i in range(p - 1):
-        j = n - 1 + i
-        values[x] = (s[j] - (s[j - p + 1] if j >= p - 1 else 0)) * chirp_inv[i] % p
-        x = x * g % p
+    powers = [1] * (p - 1)  # g**i
+    for i in range(1, p - 1):
+        powers[i] = powers[i - 1] * g % p
+    # T(t) = 0 + 1 + ... + (t - 1), and g**(p-1) = 1
+    tri = [e % (p - 1) for e in accumulate(range(p - 2), initial=0)]
+    chirp = list(map(powers.__getitem__, tri))
+    chirp_inv = [powers[-e] for e in tri]
+    logs = sorted(range(p - 1), key=powers.__getitem__)  # logs[x - 1] = i, x = g**i
     fact = [1] * p
     for k in range(1, p):
         fact[k] = fact[k - 1] * k % p
@@ -88,9 +91,31 @@ def _newton_coords_by_values(c: list[int], p: int) -> list[int]:
     fact_inv[p - 1] = p - 1  # Wilson: (p-1)! ≡ -1, its own inverse
     for k in range(p - 1, 1, -1):
         fact_inv[k - 1] = fact_inv[k] * k % p
-    e_minus = [p - e if t % 2 else e for t, e in enumerate(fact_inv)]
-    egf = _kronecker([v * e % p for v, e in zip(values, fact_inv)], e_minus)
-    return [fact[k] * egf[k] % p for k in range(p)]
+    scale = [chirp_inv[i] * e % p for i, e in zip(logs, fact_inv[1:])]
+    e_minus = [p - e if k % 2 else e for k, e in enumerate(fact_inv)]
+    residue = tuple(range(p)).__getitem__  # one int object per residue for all six
+    return tuple(tuple(map(residue, t)) for t in (chirp, chirp_inv, logs, scale, e_minus, fact))
+
+
+def _newton_coords_by_values(c: list[int], p: int) -> list[int]:
+    """a_k mod p, k < p, of sum_k c[k] * x**k with c nonempty residues mod
+    the prime p and len(c) <= p, from its values on F_p: Bluestein's chirp,
+    then the exponential generating function product (module docstring)."""
+    chirp, chirp_inv, logs, scale, e_minus, fact = _values_tables(p)
+    mod = p.__rmod__  # mod(v) == v % p
+    n = min(len(c), p - 1)
+    u = c[:n]
+    if len(c) == p:  # x**(p-1) is 1 at every x != 0
+        u[0] += c[p - 1]
+    u = list(map(mod, map(mul, u, chirp_inv)))
+    u.reverse()
+    s = _kronecker(u, chirp)
+    # g**T(t + p - 1) = -g**T(t), so the terms with i + k >= p - 1 are the
+    # product's coefficient p - 1 places lower, negated: w[i] is f(g**i)
+    # times g**T(i), up to a multiple of p
+    w = list(map(sub, s[n - 1:], [0] * (p - n) + s[:n - 1]))
+    egf = _kronecker([c[0], *map(mod, map(mul, map(w.__getitem__, logs), scale))], e_minus)
+    return list(map(mod, map(mul, fact, egf)))
 
 
 def reduce_degree(f: Polynomial, m: int) -> Polynomial:

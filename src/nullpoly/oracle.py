@@ -37,10 +37,20 @@ from .primes import is_prime, require_prime, vp_factorial
 def _fold(coeffs: Sequence[int], p: int) -> list[int]:
     """Coefficients mod the prime p of the fold of f by x**p ≡ x, of length
     min(len(coeffs), p): x**k with k >= 1 lands on x**j, 1 <= j < p,
-    j ≡ k (mod p - 1), the same function mod p. Trailing zeros are kept."""
+    j ≡ k (mod p - 1), the same function mod p. Trailing zeros are kept.
+    With no more chunks of p - 1 coefficients past the constant than there
+    are residues j, the chunks are added entrywise; with more, each
+    residue's slice is summed."""
     if not coeffs:
         return []
-    return [coeffs[0] % p] + [sum(coeffs[j::p - 1]) % p for j in range(1, min(len(coeffs), p))]
+    step = p - 1
+    if len(coeffs) > step * step + 1:
+        return [coeffs[0] % p] + [sum(coeffs[j::step]) % p for j in range(1, p)]
+    acc = list(coeffs[1:p])
+    for i in range(p, len(coeffs), step):
+        chunk = coeffs[i:i + step]
+        acc[:len(chunk)] = map(add, acc, chunk)
+    return [coeffs[0] % p, *map(p.__rmod__, acc)]
 
 
 # _falling_coords leaves synthetic division for its blocks once m has at

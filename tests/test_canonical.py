@@ -20,6 +20,7 @@ from nullpoly.canonical import (
     _VALUES_CROSSOVER,
     CanonicalForm,
     _newton_coords_by_values,
+    _values_tables,
     canonical_form,
     equivalent,
     reduce_degree,
@@ -220,6 +221,28 @@ def test_values_path_through_the_decimal_product():
     rng = random.Random(p)
     c = [rng.randrange(p) for _ in range(n - 1)] + [1]
     assert _newton_coords_by_values(c, p) == list(_newton_coords(c, p)) + [0] * (p - n)
+
+
+def test_values_path_is_the_same_cold_and_warm():
+    # the per-prime tables are built on the first call and read after it
+    rng = random.Random(457)
+    for p in (457, 461, 2):
+        f = Polynomial([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(p + 3)] + [1])
+        _values_tables.cache_clear()
+        cold = canonical_form(f, p)
+        assert _values_tables.cache_info().currsize == (p > 2)
+        warm = canonical_form(f, p)
+        assert cold == warm == CanonicalForm(p, tuple(_newton_mod(f, p)))
+        assert _values_tables.cache_info().hits == (p > 2)
+
+
+def test_values_tables_cache_is_bounded():
+    _values_tables.cache_clear()
+    size = _values_tables.cache_info().maxsize
+    assert size is not None
+    for p in PRIMES_TO_200[:size + 3]:
+        _newton_coords_by_values([1, 1], p)
+        assert _values_tables.cache_info().currsize <= size
 
 
 def test_canonical_form_on_both_sides_of_the_crossover():

@@ -318,3 +318,16 @@ def test_fold_by_x_to_the_p_keeps_the_null_verdict(case):
     f, p = case
     assert is_null_binomial(f, p) == is_null_eval(f, p)
     assert null_order(f, p, 1) == is_null_eval(f, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 457])
+def test_fold_adds_chunks_as_the_slice_definition(p):
+    # up to (p - 1)**2 + 1 coefficients _fold adds chunks of p - 1 entrywise,
+    # past that it sums one slice per residue; both are the definition
+    rng = random.Random(f"fold:{p}")
+    step = p - 1
+    for n in sorted({0, 1, step, p, p + 1, step * step - 1, step * step + 1, step * step + 2}):
+        c = [rng.randrange(-10 ** 30, 10 ** 30) for _ in range(n)]
+        want = [c[0] % p] + [sum(c[j::step]) % p for j in range(1, min(n, p))] if c else []
+        assert oracle._fold(c, p) == want, n
+        assert oracle._fold(tuple(c), p) == want, n

@@ -133,6 +133,62 @@ def test_kronecker_matches_schoolbook(monkeypatch, decimal_min_digits):
     _assert_kernel_exact([2 ** 64 - 1] * 60, [255] * 33)  # coefficients filling whole bytes
 
 
+def _slot_bytes(a, b):
+    """Bytes per slot that the int path needs for a times b, before rounding
+    up to a struct size: 256**width > 2 * mag."""
+    mag = max(max(a), -min(a), 1) * max(max(b), -min(b), 1) * min(len(a), len(b))
+    return (mag.bit_length() + 1) // 8 + 1
+
+
+def _extreme_factor(rng, n, bits, kind):
+    """n coefficients of at most bits bits, one of them 2**bits - 1 or its
+    negative: signed, none negative, all zero, or every one at 2**bits - 1
+    (so that a product coefficient reaches the bound mag itself)."""
+    top = (1 << bits) - 1
+    if kind == "zero":
+        return [0] * n
+    if kind == "full":
+        return [top] * n
+    c = [rng.randint(-top, top) for _ in range(n)]
+    c[rng.randrange(n)] = rng.choice((-top, top))
+    return [abs(v) for v in c] if kind == "nonnegative" else c
+
+
+@pytest.mark.parametrize("struct_max_bytes", [None, 0], ids=["measured", "bytes"])
+def test_kronecker_at_every_slot_width(monkeypatch, struct_max_bytes):
+    # slot widths 1 to 9 bytes, so on both sides of every rounding up to a
+    # struct size (1 | 2, 2 | 3 -> 4, 4 | 5 and past); None keeps the
+    # measured _STRUCT_MAX_BYTES, 0 packs every slot by int.to_bytes
+    import struct
+
+    if struct_max_bytes is not None:
+        monkeypatch.setattr(polys, "_STRUCT_MAX_BYTES", struct_max_bytes)
+    sizes = set()
+
+    def recording(call):
+        def packer(fmt, *args):
+            sizes.add(struct.calcsize(fmt) // int(fmt[1:-1]))
+            return call(fmt, *args)
+        return packer
+
+    monkeypatch.setattr(struct, "pack", recording(struct.pack))
+    monkeypatch.setattr(struct, "unpack", recording(struct.unpack))
+    rng = random.Random(f"slots:{struct_max_bytes}")
+    widths = set()
+    for bits in range(36):
+        lengths = [(1, 1), (1, 7), (3, 2), (16, 16)] + [(40, 500), (500, 3)] * (bits % 7 == 0)
+        for na, nb in lengths:
+            for kind in ("signed", "nonnegative", "zero", "full", "same"):
+                a = _extreme_factor(rng, na, bits, "signed" if kind == "same" else kind)
+                b = a if kind == "same" else _extreme_factor(rng, nb, bits + nb % 2, kind)
+                if kind == "full":
+                    b = [-v for v in b]  # the product's coefficients reach -mag
+                widths.add(_slot_bytes(a, b))
+                assert polys._kronecker(a, b) == schoolbook_product(a, b), (bits, na, nb, kind)
+    assert widths >= set(range(1, 10))
+    assert sizes == (set() if struct_max_bytes == 0 else {1, 2, 4})
+
+
 def test_kronecker_decimal_threshold_is_met_on_both_sides():
     # 1000-bit coefficients take 605-digit slots: 2n - 1 = 159 slots pack
     # below _DECIMAL_MIN_DIGITS, 239 slots above it
