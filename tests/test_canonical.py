@@ -226,14 +226,14 @@ def test_values_path_through_the_decimal_product():
 def test_values_path_is_the_same_cold_and_warm():
     # the per-prime tables are built on the first call and read after it
     rng = random.Random(457)
-    for p in (457, 461, 2):
+    for p in (457, 461):
         f = Polynomial([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(p + 3)] + [1])
         _values_tables.cache_clear()
         cold = canonical_form(f, p)
-        assert _values_tables.cache_info().currsize == (p > 2)
         warm = canonical_form(f, p)
         assert cold == warm == CanonicalForm(p, tuple(_newton_mod(f, p)))
-        assert _values_tables.cache_info().hits == (p > 2)
+        info = _values_tables.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
 
 def test_values_tables_cache_is_bounded():
