@@ -11,37 +11,32 @@ exact Kronecker substitution (_kronecker): each factor is evaluated at
 x = base**width, one slot per coefficient, the two integers are multiplied
 once, and the product's coefficients are read back off its slots. Every
 product and factor coefficient c has |c| <= mag, the factors' largest
-magnitudes (at least 1) times the shorter length. There is one slot
-format: a slot's range exceeds 2 * mag, a factor's integer is the sum of
-its coefficients times their powers of the base, and half a slot's range
-is added to every slot of the product and taken out again while reading,
-so no slot borrows from the next.
+magnitudes (at least 1) times the shorter length, and a slot's range
+exceeds 2 * mag: with h, half a slot's range, added to every slot of the
+product, no slot borrows from the next. The route reads the product's
+size alone, and each route has one slot format.
 
-The route reads the product's size alone. Below _DECIMAL_MIN_DIGITS packed
-decimal digits the int path (byte slots) multiplies CPython ints
-(Karatsuba). From there on the base is 10 and the product is
-decimal.Context.multiply at MAX_PREC, libmpdec's number-theoretic
-transform; decimal is imported only there, so start-up never pays for it.
-That path never converts a packed integer between int and Decimal (both
-ways are quadratic: seconds at 10**5 digits): it formats one coefficient at
-a time, parses each packed string once, and reads back by slicing the
-product's digit string. A slot wider than sys.get_int_max_str_digits(),
-which caps int <-> str, is written and read through Decimal, whose
-conversions have no cap. The decimal path's factors, and those of int
-slots wider than _STRUCT_MAX_BYTES, are packed as the magnitudes of their
-positive minus those of their negative coefficients, with no negative pack
-for a factor that has none.
+Below _DECIMAL_MIN_DIGITS packed decimal digits the int path multiplies
+CPython ints (Karatsuba) in base 256. A factor's slots hold its
+coefficients v in two's complement; flipping every slot's top bit, one XOR
+of the whole integer, makes each slot v + h, and one subtraction takes
+every h out. The product's slots plus h, their top bits flipped the same
+way, are its coefficients in two's complement. Slots of at most
+_STRUCT_MAX_BYTES bytes, rounded up to struct's signed sizes 1, 2 and 4,
+are written and read by struct in one pass; wider ones by one
+int.to_bytes and one int.from_bytes call a slot.
 
-The int path writes slots of more than _STRUCT_MAX_BYTES bytes by one
-int.to_bytes call each and reads them back by one int.from_bytes call
-each. Narrower slots are rounded up to 1, 2 or 4 bytes, struct's standard
-signed sizes, and packed in C (struct, too, is imported only there).
-struct.pack writes a factor's coefficients in two's complement in one
-pass. Flipping every slot's top bit, one XOR of the whole integer, turns
-each slot's v into v + h, h being half a slot's range, and one subtraction
-takes every h out again. The product's slots plus h, their top bits
-flipped the same way, are its coefficients in two's complement, which
-struct.unpack reads back in one pass.
+From there on the base is 10 and the product is decimal.Context.multiply
+at MAX_PREC, libmpdec's number-theoretic transform. A factor is packed as
+the magnitudes of its positive minus those of its negative coefficients
+(no negative pack for a factor with none), and h is added to the product
+and taken out of each slot read. The path never converts a packed integer
+between int and Decimal (both ways are quadratic: seconds at 10**5
+digits): it formats one coefficient at a time, parses each packed string
+once, and reads back by slicing the product's digit string. A slot wider
+than sys.get_int_max_str_digits(), which caps int <-> str, is written and
+read through Decimal, whose conversions have no cap. struct and decimal
+are imported only on their routes, so start-up pays for neither.
 
 Only this module packs integers into slots. product() multiplies many
 factors as a product tree, so that few products are large and those are
@@ -165,11 +160,13 @@ _set_coeffs = Polynomial.coeffs.__set__
 # times faster.
 _DECIMAL_MIN_DIGITS = 120_000
 
-# _kronecker packs the int path's slots by struct up to this many bytes a
-# slot, each rounded up to 1, 2 or 4 bytes, and by one int.to_bytes call a
-# slot past it. Time of one product on a 2-core x86-64 host (Python 3.11),
-# the struct route over the byte route (below 1 is faster; two runs, with
-# factors of one sign and of mixed signs), by slot width and terms a factor:
+# This picks only the serializer of the int path's one slot format: struct
+# up to this many bytes a slot, each rounded up to 1, 2 or 4 bytes, and one
+# int.to_bytes and int.from_bytes call a slot past it. Time of one product
+# on a 2-core x86-64 host (Python 3.11), struct over the byte route, which
+# then packed positive and negative magnitudes apart (below 1 is faster;
+# two runs, factors of one sign and of mixed signs), by slot width and
+# terms a factor:
 #   slot bytes  | 16 terms  | 128 terms | 1024 terms | 6000 terms
 #   1-4         | 0.45-0.62 | 0.22-0.37 | 0.31-0.72  | 0.40-0.91
 #   5-6, made 8 | 0.49-0.62 | 0.51-0.62 | 0.86-1.11  | 0.98-1.18
@@ -181,6 +178,8 @@ _DECIMAL_MIN_DIGITS = 120_000
 # the tower workload spends 1 ms of its 170 ms of products on them. struct
 # rather than array: struct packs about twice as fast (5 against 11 us for
 # 456 terms), and its sizes and byte order do not depend on the platform.
+# Against the two's-complement byte route, 1-4 bytes read 0.20-0.73 up to
+# 1024 terms and 0.28-1.72 at 6000, where the multiplication dominates.
 _STRUCT_MAX_BYTES = 4
 
 
@@ -214,37 +213,27 @@ def _kronecker(a, b) -> list[int]:
         h = int(num(half))
         return [int(num(digits[i - width:i])) - h for i in range(n * width, 0, -width)]
     width = (mag.bit_length() + 1) // 8 + 1  # 256**width > 2 * mag
+    fmt = None  # struct's format; None writes and reads by int.to_bytes and int.from_bytes
     if width <= _STRUCT_MAX_BYTES:
         from struct import pack, unpack
 
         width = 1 << (width - 1).bit_length()  # 1, 2 or 4: struct's b, h and i
         fmt = "<%d" + {1: "b", 2: "h", 4: "i"}[width]  # signed, little-endian
-        half = (1 << 8 * width - 1).to_bytes(width, "little")  # h, half a slot's range
+    half = (1 << 8 * width - 1).to_bytes(width, "little")  # h, half a slot's range
 
-        def value(c):  # c at x = 256**width
-            # pack writes each v mod 256**width; every slot's top bit
-            # flipped, a slot holds v + h, and h is taken out of all at once
-            h = int.from_bytes(half * len(c), "little")
-            return (int.from_bytes(pack(fmt % len(c), *c), "little") ^ h) - h
-
-        x = value(a)
-        h = int.from_bytes(half * n, "little")
-        z = (x * (x if a is b else value(b)) + h) ^ h  # each slot holds c mod 256**width
-        return list(unpack(fmt % n, z.to_bytes(n * width, "little")))
-    zero = bytes(width)
-
-    def value(c):  # c at x = 256**width, slots little-endian
-        pos = int.from_bytes(b"".join([v.to_bytes(width, "little") if v > 0 else zero for v in c]), "little")
-        if min(c) >= 0:
-            return pos
-        neg = b"".join([(-v).to_bytes(width, "little") if v < 0 else zero for v in c])
-        return pos - int.from_bytes(neg, "little")
+    def value(c):  # c at x = 256**width
+        # each slot holds v mod 256**width; every slot's top bit flipped, a
+        # slot holds v + h, and h is taken out of all at once
+        s = pack(fmt % len(c), *c) if fmt else b"".join([v.to_bytes(width, "little", signed=True) for v in c])
+        h = int.from_bytes(half * len(c), "little")
+        return (int.from_bytes(s, "little") ^ h) - h
 
     x = value(a)
-    h = 1 << 8 * width - 1  # half a slot's range, added to every slot
-    z = x * (x if a is b else value(b)) + int.from_bytes(h.to_bytes(width, "little") * n, "little")
-    z = z.to_bytes(n * width, "little")
-    return [int.from_bytes(z[i:i + width], "little") - h for i in range(0, n * width, width)]
+    h = int.from_bytes(half * n, "little")
+    z = ((x * (x if a is b else value(b)) + h) ^ h).to_bytes(n * width, "little")  # c mod 256**width a slot
+    if fmt:
+        return list(unpack(fmt % n, z))
+    return [int.from_bytes(z[i:i + width], "little", signed=True) for i in range(0, n * width, width)]
 
 
 def product(factors: Iterable[Polynomial]) -> Polynomial:

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from math import gcd
 
+# is_prime's trial divisors and Miller-Rabin witnesses. Miller-Rabin with
+# these, the first thirteen primes, is deterministic below
+# 3317044064679887385961981 (Sorenson & Webster 2017; OEIS A014233).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-# Miller-Rabin with these witnesses, the first thirteen primes, is
-# deterministic below 3317044064679887385961981 (Sorenson & Webster 2017;
-# OEIS A014233).
-_MR_WITNESSES = _SMALL_PRIMES
 
 # Trial division runs below this bound; a larger cofactor goes to rho.
 _TRIAL_BOUND = 1 << 10
@@ -46,7 +44,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

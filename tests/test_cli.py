@@ -73,6 +73,17 @@ def test_construct_families(capsys):
     assert payload["result"]["polynomial"]["human"] == "x^4-6x^3+11x^2-6x"
 
 
+def test_construct_names_the_fold_for_a_prime_modulus(capsys):
+    # d = 1 makes m = p prime in every family, and the null test folds by
+    # x^p - x instead of taking Newton coordinates
+    assert run_cli(capsys, "construct", "5", "1") == (0, (
+        "H(p=5, d=1) modulo 5:\npoly: x^5-10x^4+35x^3-50x^2+24x\ncoeffs: 0,24,-50,35,-10,1\n"
+        "degree: 5\ndigits: [1]\nverified: null (fold by x^5-x)\n"), "")
+    for family in ("G", "kempner"):
+        code, out, _ = run_cli(capsys, "construct", "3", "1", "--family", family)
+        assert (code, out.splitlines()[-1]) == (0, "verified: null (fold by x^3-x)")
+
+
 def test_count_text_with_trace(capsys):
     code, out, _ = run_cli(capsys, "count", "3", "2", "2")
     assert code == 0
