@@ -63,24 +63,20 @@ def _parse_prime_power(text: str) -> tuple[int, int]:
     require_prime(p)
     if d < 1:
         raise ValueError("exponent must be >= 1")
-    if d * log2(p) > counting._POWER_BITS:
-        raise ValueError(f"{p}^{d} has over {counting._POWER_BITS} bits, too large to build")
     return p, d
 
 
-def _check_printable(parts: list[tuple[int, int]]) -> None:
-    """Refuse, before building it, a modulus prod p**d of the (p, d) parts
-    whose residues could not be printed: over sys.get_int_max_str_digits()
-    decimal digits, or over counting._POWER_BITS bits while that limit is
-    off."""
-    name = " * ".join(_prime_power_str(p, d) for p, d in parts)
-    digits = sum(d * log10(p) for p, d in parts)  # the modulus has floor(digits) + 1
+def _check_printable(what: str, digits: float) -> None:
+    """Refuse, before it is built, a number of about `digits` decimal digits
+    (floor(digits) + 1): one of sys.get_int_max_str_digits() digits or more
+    could not be printed, and one of over counting._POWER_BITS bits is too
+    large to build, whatever that limit is set to."""
     limit = sys.get_int_max_str_digits()
     if limit and digits >= limit:
-        raise ValueError(f"modulus {name} has over {limit} decimal digits, "
+        raise ValueError(f"{what} has over {limit} decimal digits, "
                          f"the sys.get_int_max_str_digits() limit for printing")
-    if not limit and digits * log2(10) > counting._POWER_BITS:
-        raise ValueError(f"modulus {name} has over {counting._POWER_BITS} bits, too large to build")
+    if digits * log2(10) > counting._POWER_BITS:
+        raise ValueError(f"{what} has over {counting._POWER_BITS} bits, too large to build")
 
 
 def _count_at_most(p: int, e: int, limit: int) -> bool:
@@ -119,15 +115,13 @@ def _cmd_construct(args):
         poly = construct.build_tower(p, d)[-1]
         m = p ** construct.repunit(p, d)
     else:
-        # the coefficients' magnitudes sum to mu!: refuse when mu! is over the
-        # limit, so no unprintable basis is built; under the default 4300 the
-        # largest coefficient is over it just then for mu = 1545-1565 (4299
-        # digits at mu = 1558, 4302 at 1559), but under another limit the
-        # largest can be about a digit shorter than mu! and still print
-        limit, mu = sys.get_int_max_str_digits(), construct.omega1_prime_power(p, d)
-        if limit and lgamma(mu + 1) / log(10) >= limit:
-            raise ValueError(f"kempner(p={p}, d={d}) has coefficients whose magnitudes sum to {mu}!, "
-                             f"over {limit} decimal digits, the sys.get_int_max_str_digits() limit for printing")
+        # the coefficients' magnitudes sum to mu!, which bounds the largest: under
+        # the default 4300-digit limit it refuses just the unprintable bases (4299
+        # digits at mu = 1558, 4302 at 1559); under another the largest can be a
+        # digit shorter than mu! and still print
+        mu = construct.omega1_prime_power(p, d)
+        _check_printable(f"kempner(p={p}, d={d}), whose coefficient magnitudes sum to {mu}!,",
+                         lgamma(mu + 1) / log(10))
         poly = modulus.kempner_basis(p ** d)
         m = p ** d
     if not oracle.is_null_binomial(poly, m):
@@ -150,7 +144,7 @@ def _cmd_construct(args):
             "degree": poly.degree,
             "digits": list(digits),
         },
-        trace=None,
+        trace=[["null test", test]],
         verified=True,
     )
 
@@ -282,7 +276,7 @@ def _cmd_enumerate(args):
         raise ValueError(
             f"count {p}^{e} exceeds --limit {args.limit}; raise the limit to proceed"
         )
-    _check_printable([(p, d)])
+    _check_printable(f"modulus {_prime_power_str(p, d)}", d * log10(p))
     total = p ** e
     pd = p ** d
     polys = sorted(counting.enumerate_null(p, d, n), key=lambda f: f.coeffs)
@@ -307,7 +301,8 @@ def _cmd_crt(args):
     for i in range(0, len(items), 2):
         f = parse_polynomial(items[i])
         parts.append((f, *_parse_prime_power(items[i + 1])))
-    _check_printable([(p, d) for _, p, d in parts])
+    _check_printable("modulus " + " * ".join(_prime_power_str(p, d) for _, p, d in parts),
+                     sum(d * log10(p) for _, p, d in parts))
     combined = modulus.crt_combine_poly([(f, p ** d) for f, p, d in parts])
     m = prod(p ** d for _, p, d in parts)
     for f, p, d in parts:

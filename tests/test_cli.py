@@ -217,6 +217,14 @@ def test_order_answers_a_huge_max_at_once(capsys):
     assert payload["result"] == {"order": 1, "capped": False}
 
 
+def test_order_of_a_long_f_clamped_to_one_folds(capsys):
+    # v_p(100003!) = 1 clamps the order to 1, which the fold by x^p - x
+    # answers; the transform mod p would take about 10^10 steps
+    start = time.perf_counter()
+    assert run_cli(capsys, "order", "x^100003-x", "100003") == (0, "order=1\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_order_is_capped_only_when_the_cap_bounded_the_answer(capsys):
     # x^2 - x is null mod 2 but not mod 4: --max 1 is the answer, not a cap
     code, out, _ = run_cli(capsys, "order", "x^2-x", "2", "--max", "1")
@@ -256,8 +264,8 @@ def test_construct_kempner_refuses_a_coefficient_too_long_to_print(capsys):
         code, out, err = run_cli(capsys, "construct", str(p), "1", "--family", "kempner")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
-        assert err == (f"error: kempner(p={p}, d=1) has coefficients whose magnitudes sum to {p}!, "
-                       "over 4300 decimal digits, the sys.get_int_max_str_digits() limit for printing\n")
+        assert err == (f"error: kempner(p={p}, d=1), whose coefficient magnitudes sum to {p}!, "
+                       "has over 4300 decimal digits, the sys.get_int_max_str_digits() limit for printing\n")
     # mu(2^1553) = 1558 still answers: its largest coefficient has 4299 digits
     code, out, err = run_cli(capsys, "construct", "2", "1553", "--family", "kempner")
     assert (code, err) == (0, "")
@@ -439,17 +447,19 @@ def test_count_past_the_power_limit_answers_unverified():
 
 
 def test_crt_refuses_a_prime_power_too_large_to_build():
-    # 2^99999999999 would be built before the parts are combined
+    # 2^99999999999 would be built before the parts are combined; the
+    # product of the parts is sized before any part is built
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONINTMAXSTRDIGITS="4300")
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "nullpoly.cli", "crt", "x", "2^99999999999", "x", "3"],
                           env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap)
     assert time.perf_counter() - start < 2.0
     assert (done.returncode, done.stdout) == (1, "")
-    assert done.stderr == f"error: 2^99999999999 has over {counting._POWER_BITS} bits, too large to build\n"
+    assert done.stderr == ("error: modulus 2^99999999999 * 3 has over 4300 decimal digits, "
+                           "the sys.get_int_max_str_digits() limit for printing\n")
 
 
 @pytest.mark.parametrize("argv, digits_off, modulus", [
@@ -457,6 +467,7 @@ def test_crt_refuses_a_prime_power_too_large_to_build():
     (("enumerate", "3", "2", "20000"), False, "2^20000"),
     (("enumerate", "3", "2", "99999999999"), False, "2^99999999999"),
     (("enumerate", "3", "2", "99999999999"), True, "2^99999999999"),
+    (("crt", "x", "2^99999999999", "x", "3"), True, "2^99999999999 * 3"),
 ])
 def test_a_modulus_too_long_to_print_is_refused_up_front(argv, digits_off, modulus):
     # without the refusal the first two fail after the work, when the answer
@@ -475,6 +486,23 @@ def test_a_modulus_too_long_to_print_is_refused_up_front(argv, digits_off, modul
     else:
         assert done.stderr == (f"error: modulus {modulus} has over 4300 decimal digits, "
                                "the sys.get_int_max_str_digits() limit for printing\n")
+
+
+def test_construct_kempner_refuses_a_basis_too_large_to_build():
+    # with the int-to-str limit off, mu! = 1000003! has about 18.5 million
+    # bits; without the refusal the million linear factors are multiplied,
+    # still running after 5 s
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONINTMAXSTRDIGITS="0")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "nullpoly.cli", "construct", "1000003", "1", "--family", "kempner"],
+                          env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert time.perf_counter() - start < 2.0
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("error: kempner(p=1000003, d=1), whose coefficient magnitudes sum to 1000003!, "
+                           f"has over {counting._POWER_BITS} bits, too large to build\n")
 
 
 def test_a_modulus_just_short_enough_to_print_is_answered(capsys):
@@ -526,7 +554,7 @@ JSON_RUNS = [
         "command": "construct", "inputs": {"p": 2, "d": 2, "family": "H"},
         "result": {"polynomial": {"coeffs": "0,0,1,-2,1", "human": "x^4-2x^3+x^2"},
                    "modulus": 4, "degree": 4, "digits": [2]},
-        "trace": None, "verified": True}),
+        "trace": [["null test", "newton oracle"]], "verified": True}),
     (("check-null", "x^2-x", "2"), {
         "command": "check-null", "inputs": {"polynomial": X2_MINUS_X, "m": 2},
         "result": {"null": True, "witness": None},

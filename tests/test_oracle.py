@@ -100,6 +100,9 @@ def test_null_order_clamps_a_huge_d_max():
     assert null_order(Polynomial(()), 3, -2) == 0
     assert null_order(Polynomial((2 ** 40,)), 2, 10 ** 12) == 40
     assert null_order(h, 5, 10 ** 6) == 200
+    # the clamp v_p(100003!) = 1 sends f to the fold by x^p - x, not to a
+    # transform of 100004 terms mod p (about 10^10 steps)
+    assert null_order(parse_polynomial("x^100003-x"), 100003, 64) == 1
     assert time.perf_counter() - start < 1.0
 
 
