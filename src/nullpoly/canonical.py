@@ -7,6 +7,16 @@ Newton coordinates a_k = k! * b_k mod m, k < mu, are a complete invariant.
 (Monomial coefficients of the remainder are not: p * x(x-1)...(x-p+1) is a
 null polynomial mod p**2 of degree below mu.)
 
+reduce_degree mod a composite m computes that remainder by exact long
+division. mu is the first k with k! ≡ 0 (mod m), scanned for k <= deg f,
+so m is never factored; a scan that ends without one leaves deg f < mu, and
+f's residues are the answer. Otherwise f is divided by the basis mod m,
+x**mu ≡ sum_j tail_j * x**j, in O((deg f - mu) * mu) slot-words on one
+packed window (polys._rem_monic). _kempner_tail keeps the tail per modulus
+in a bounded lru_cache, and builds it by a product tree of the linear
+factors reduced mod m at every node, so no coefficient grows to the size
+of mu! as it would over Z.
+
 A prime m = p is answered from the fold of f by x**p - x (oracle._fold).
 By Lagrange, the fold is the only polynomial of degree < p with f's
 function mod p, so it is the reduced polynomial, and it is the remainder
@@ -34,8 +44,8 @@ from operator import mul, sub
 
 from ._record import Record
 from .modulus import kempner_mu
-from .oracle import _falling_coords, _fold, _newton_coords, is_null_binomial
-from .polys import Polynomial, _kronecker
+from .oracle import _fold, _newton_coords, is_null_binomial
+from .polys import Polynomial, _kronecker, _rem_monic, reduce_coeffs
 from .primes import is_prime, prime_factorization
 
 # Mod a prime p, canonical_form takes the values path when the fold's length
@@ -118,23 +128,41 @@ def _newton_coords_by_values(c: list[int], p: int) -> list[int]:
     return list(map(mod, map(mul, fact, egf)))
 
 
+# Bounded for long-lived callers; bench's equiv workload asks about nine
+# composite moduli per seed. One entry is mu residues: about 3.6 MB at
+# mu = 10**5, the CLI's mu limit.
+@lru_cache(maxsize=16)
+def _kempner_tail(m: int, mu: int) -> tuple[int, ...]:
+    """tail_j, j < mu, with x**mu ≡ sum_j tail_j * x**j modulo m and
+    x(x-1)...(x-mu+1), each a residue mod m: that basis mod m, built by a
+    product tree of its linear factors reduced mod m at every node, and
+    its lower coefficients negated."""
+    mod = m.__rmod__
+    level = [[-i % m, 1] for i in range(mu)]
+    while len(level) > 1:
+        pairs = zip(level[::2], level[1::2])
+        level = [list(map(mod, _kronecker(a, b))) for a, b in pairs] + level[len(level) & ~1:]
+    return tuple(-v % m for v in level[0][:-1])
+
+
 def reduce_degree(f: Polynomial, m: int) -> Polynomial:
     """Equivalent polynomial of degree < mu(m), coefficients in [0, m): the
-    remainder of f by x(x-1)...(x-mu+1) mod m, read off the falling
-    coordinates b_k, which end at k = mu by themselves, so m is not
-    factored. For a prime m this is the
+    remainder of f by x(x-1)...(x-mu+1) mod m. For a prime m this is the
     fold of f by x**m - x, by Lagrange the only polynomial of degree < m
-    with f's function, in O(deg), with no factorization and no transform."""
+    with f's function, in O(deg), with no factorization and no transform.
+    For a composite m it is long division by the cached basis mod m, with
+    mu found by the k! scan, which stops at k = deg f (module docstring)."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if is_prime(m):
         return Polynomial(_fold(f.coeffs, m))
-    b = [b for _, b in _falling_coords(f.coeffs, m)]
-    r: list[int] = []
-    for k in range(len(b) - 1, -1, -1):
-        # r <- r * (x - k) + b_k, Horner's scheme in the falling basis
-        r = [(lo - k * hi) % m for lo, hi in zip([b[k]] + r, r + [0])]
-    return Polynomial(r)
+    fact, mu = 1, 0
+    while fact:
+        mu += 1
+        if mu >= len(f.coeffs):
+            return reduce_coeffs(f, m)
+        fact = fact * mu % m
+    return Polynomial(_rem_monic(f.coeffs, _kempner_tail(m, mu), m))
 
 
 def canonical_form(f: Polynomial, m: int) -> CanonicalForm:

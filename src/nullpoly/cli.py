@@ -79,6 +79,14 @@ def _check_printable(what: str, digits: float) -> None:
         raise ValueError(f"{what} has over {counting._POWER_BITS} bits, too large to build")
 
 
+def _digits(p: int, d: int) -> float:
+    """About the decimal digits of p**d: d * log10(p), with d clamped to
+    sys.maxsize so that it converts to a float. p**d past the clamp has
+    over 2 * 10**18 digits, which _check_printable refuses whatever the
+    limits."""
+    return min(d, sys.maxsize) * log10(p)
+
+
 def _count_at_most(p: int, e: int, limit: int) -> bool:
     """p**e <= limit, building p**e only below limit's bit length (p >= 2)."""
     return e < limit.bit_length() and p ** e <= limit
@@ -118,10 +126,10 @@ def _cmd_construct(args):
         # the coefficients' magnitudes sum to mu!, which bounds the largest: under
         # the default 4300-digit limit it refuses just the unprintable bases (4299
         # digits at mu = 1558, 4302 at 1559); under another the largest can be a
-        # digit shorter than mu! and still print
+        # digit shorter than mu! and still print; mu is clamped as in _digits
         mu = construct.omega1_prime_power(p, d)
         _check_printable(f"kempner(p={p}, d={d}), whose coefficient magnitudes sum to {mu}!,",
-                         lgamma(mu + 1) / log(10))
+                         lgamma(min(mu, sys.maxsize) + 1) / log(10))
         poly = modulus.kempner_basis(p ** d)
         m = p ** d
     if not oracle.is_null_binomial(poly, m):
@@ -244,7 +252,7 @@ def _cmd_count(args):
         label = f"N_np(<={n}, {p}^{d})"
     verified = None
     # enumerate while count_null_le(n) = p**E(n) <= 4096 and p**d can be built
-    if (d * log2(p) <= counting._POWER_BITS
+    if (d <= counting._POWER_BITS / log2(p)
             and _count_at_most(p, counting.null_count_exponent(n, p, d), 4096)):
         polys = list(counting.enumerate_null(p, d, n))
         if args.monic:
@@ -276,7 +284,7 @@ def _cmd_enumerate(args):
         raise ValueError(
             f"count {p}^{e} exceeds --limit {args.limit}; raise the limit to proceed"
         )
-    _check_printable(f"modulus {_prime_power_str(p, d)}", d * log10(p))
+    _check_printable(f"modulus {_prime_power_str(p, d)}", _digits(p, d))
     total = p ** e
     pd = p ** d
     polys = sorted(counting.enumerate_null(p, d, n), key=lambda f: f.coeffs)
@@ -302,7 +310,7 @@ def _cmd_crt(args):
         f = parse_polynomial(items[i])
         parts.append((f, *_parse_prime_power(items[i + 1])))
     _check_printable("modulus " + " * ".join(_prime_power_str(p, d) for _, p, d in parts),
-                     sum(d * log10(p) for _, p, d in parts))
+                     sum(_digits(p, d) for _, p, d in parts))
     combined = modulus.crt_combine_poly([(f, p ** d) for f, p, d in parts])
     m = prod(p ** d for _, p, d in parts)
     for f, p, d in parts:

@@ -137,7 +137,7 @@ def null_count_exponent(n: int, p: int, d: int) -> int:
 
 
 def _check_power(p: int, e: int) -> None:
-    if e * log2(p) > _POWER_BITS:
+    if e > _POWER_BITS / log2(p):  # e * log2(p) would overflow a float for a huge e
         raise ValueError(f"count needs {p}^{e}, over the {_POWER_BITS}-bit limit")
 
 

@@ -16,8 +16,8 @@ Lagrange, a polynomial of degree < m over F_m is the only one of that
 degree with its function, so f is null mod m iff its fold is 0: O(deg).
 Every entry point decides the prime case itself and folds before any
 transform: is_null_binomial, and null_order through it when the answer
-can only be 0 or 1; canonical.reduce_degree and canonical.canonical_form
-fold too, so _falling_coords never sees a prime modulus with a long f.
+can only be 0 or 1; canonical.canonical_form folds too, so
+_falling_coords never sees a prime modulus with a long f.
 The top coordinate a_n = n! * c_n of f of degree n is never 0, so f is
 null mod no power of p above v_p(n!) + v_p(c_n): null_order works mod no
 larger power.

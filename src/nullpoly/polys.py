@@ -22,9 +22,9 @@ coefficients v in two's complement; flipping every slot's top bit, one XOR
 of the whole integer, makes each slot v + h, and one subtraction takes
 every h out. The product's slots plus h, their top bits flipped the same
 way, are its coefficients in two's complement. Slots of at most
-_STRUCT_MAX_BYTES bytes, rounded up to struct's signed sizes 1, 2 and 4,
-are written and read by struct in one pass; wider ones by one
-int.to_bytes and one int.from_bytes call a slot.
+_STRUCT_MAX_BYTES bytes, rounded up to struct's sizes 1, 2 and 4, are
+written and read by struct in one pass; wider ones by one int.to_bytes and
+one int.from_bytes call a slot (_slot_format).
 
 From there on the base is 10 and the product is decimal.Context.multiply
 at MAX_PREC, libmpdec's number-theoretic transform. A factor is packed as
@@ -35,8 +35,18 @@ between int and Decimal (both ways are quadratic: seconds at 10**5
 digits): it formats one coefficient at a time, parses each packed string
 once, and reads back by slicing the product's digit string. A slot wider
 than sys.get_int_max_str_digits(), which caps int <-> str, is written and
-read through Decimal, whose conversions have no cap. struct and decimal
-are imported only on their routes, so start-up pays for neither.
+read through Decimal, whose conversions have no cap. decimal is imported
+only on its route, so start-up does not pay for it.
+
+_rem_monic, the remainder by a divisor monic mod m given as
+x**mu ≡ sum_j tail_j * x**j, uses the int path's serializers with
+unsigned slots. Its window holds mu + 1 slots, each wide enough for
+(m - 1) * (1 + mu * (m - 1)): a slot enters as a residue and takes at most
+mu products of two residues before it reaches the top, so no slot ever
+carries. A step shifts the window up one slot and brings in the next lower
+coefficient of f, reads the top slot mod m as t, masks it off and adds
+t * Y, Y being the packed tail. A step costs O(mu) slot-words whatever
+deg f is: the window never holds more than mu + 1 slots.
 
 Only this module packs integers into slots. product() multiplies many
 factors as a product tree, so that few products are large and those are
@@ -45,6 +55,7 @@ balanced.
 from __future__ import annotations
 
 import re
+import struct
 import sys
 from collections.abc import Iterable
 from heapq import heapify, heappop, heappush
@@ -160,13 +171,13 @@ _set_coeffs = Polynomial.coeffs.__set__
 # times faster.
 _DECIMAL_MIN_DIGITS = 120_000
 
-# This picks only the serializer of the int path's one slot format: struct
-# up to this many bytes a slot, each rounded up to 1, 2 or 4 bytes, and one
-# int.to_bytes and int.from_bytes call a slot past it. Time of one product
-# on a 2-core x86-64 host (Python 3.11), struct over the byte route, which
-# then packed positive and negative magnitudes apart (below 1 is faster;
-# two runs, factors of one sign and of mixed signs), by slot width and
-# terms a factor:
+# This picks only the serializer of the int path's slots, and of
+# _rem_monic's (_slot_format): struct up to this many bytes a slot, each
+# rounded up to 1, 2 or 4 bytes, and one int.to_bytes and int.from_bytes
+# call a slot past it. Time of one product on a 2-core x86-64 host (Python
+# 3.11), struct over the byte route, which then packed positive and
+# negative magnitudes apart (below 1 is faster; two runs, factors of one
+# sign and of mixed signs), by slot width and terms a factor:
 #   slot bytes  | 16 terms  | 128 terms | 1024 terms | 6000 terms
 #   1-4         | 0.45-0.62 | 0.22-0.37 | 0.31-0.72  | 0.40-0.91
 #   5-6, made 8 | 0.49-0.62 | 0.51-0.62 | 0.86-1.11  | 0.98-1.18
@@ -212,19 +223,13 @@ def _kronecker(a, b) -> list[int]:
         digits = str(ctx.add(z, Decimal(half * n))).zfill(n * width)
         h = int(num(half))
         return [int(num(digits[i - width:i])) - h for i in range(n * width, 0, -width)]
-    width = (mag.bit_length() + 1) // 8 + 1  # 256**width > 2 * mag
-    fmt = None  # struct's format; None writes and reads by int.to_bytes and int.from_bytes
-    if width <= _STRUCT_MAX_BYTES:
-        from struct import pack, unpack
-
-        width = 1 << (width - 1).bit_length()  # 1, 2 or 4: struct's b, h and i
-        fmt = "<%d" + {1: "b", 2: "h", 4: "i"}[width]  # signed, little-endian
+    width, fmt = _slot_format((mag.bit_length() + 1) // 8 + 1, True)  # 256**width > 2 * mag
     half = (1 << 8 * width - 1).to_bytes(width, "little")  # h, half a slot's range
 
     def value(c):  # c at x = 256**width
         # each slot holds v mod 256**width; every slot's top bit flipped, a
         # slot holds v + h, and h is taken out of all at once
-        s = pack(fmt % len(c), *c) if fmt else b"".join([v.to_bytes(width, "little", signed=True) for v in c])
+        s = struct.pack(fmt % len(c), *c) if fmt else b"".join([v.to_bytes(width, "little", signed=True) for v in c])
         h = int.from_bytes(half * len(c), "little")
         return (int.from_bytes(s, "little") ^ h) - h
 
@@ -232,8 +237,48 @@ def _kronecker(a, b) -> list[int]:
     h = int.from_bytes(half * n, "little")
     z = ((x * (x if a is b else value(b)) + h) ^ h).to_bytes(n * width, "little")  # c mod 256**width a slot
     if fmt:
-        return list(unpack(fmt % n, z))
+        return list(struct.unpack(fmt % n, z))
     return [int.from_bytes(z[i:i + width], "little", signed=True) for i in range(0, n * width, width)]
+
+
+def _slot_format(width: int, signed: bool) -> tuple[int, str | None]:
+    """(width, fmt) for little-endian slots of at least `width` bytes,
+    signed or unsigned. Up to _STRUCT_MAX_BYTES bytes the width is rounded
+    up to struct's 1, 2 or 4, and struct writes and reads the slots in one
+    call with format fmt % count; past it fmt is None, and one
+    int.to_bytes and int.from_bytes call a slot write and read them."""
+    if width > _STRUCT_MAX_BYTES:
+        return width, None
+    width = 1 << (width - 1).bit_length()
+    code = {1: "b", 2: "h", 4: "i"}[width]
+    return width, "<%d" + (code if signed else code.upper())
+
+
+def _rem_monic(coeffs, tail, m: int) -> list[int]:
+    """Residues mod m (m >= 2) of the remainder of sum_i coeffs[i] * x**i
+    by a divisor of degree mu = len(tail) >= 1, monic mod m, given by
+    x**mu ≡ sum_j tail[j] * x**j with residues tail[j]: long division on a
+    packed window (module docstring). min(len(coeffs), mu) residues, trailing
+    zeros kept."""
+    mu = len(tail)
+    c = [v % m for v in coeffs]
+    if len(c) <= mu:
+        return c
+    # a slot enters as a residue and takes t * tail[j] <= (m - 1)**2 once a
+    # step for mu steps before it is read at the top
+    width, fmt = _slot_format((((m - 1) * (1 + mu * (m - 1))).bit_length() + 7) // 8, False)
+    size = mu * width  # bytes of mu slots
+    w, top = 8 * width, 8 * size
+    mask = (1 << top) - 1
+    s = c[-mu:] + list(tail)  # the window, f's top mu coefficients, then the tail
+    s = struct.pack(fmt % (2 * mu), *s) if fmt else b"".join([v.to_bytes(width, "little") for v in s])
+    r, y = int.from_bytes(s[:size], "little"), int.from_bytes(s[size:], "little")
+    for v in reversed(c[:-mu]):
+        r = r << w | v
+        r = (r & mask) + (r >> top) % m * y
+    s = r.to_bytes(size, "little")
+    s = struct.unpack(fmt % mu, s) if fmt else [int.from_bytes(s[i:i + width], "little") for i in range(0, size, width)]
+    return [v % m for v in s]
 
 
 def product(factors: Iterable[Polynomial]) -> Polynomial:

@@ -19,6 +19,7 @@ from nullpoly import polys
 from nullpoly.canonical import (
     _VALUES_CROSSOVER,
     CanonicalForm,
+    _kempner_tail,
     _newton_coords_by_values,
     _values_tables,
     canonical_form,
@@ -165,9 +166,47 @@ def test_reduce_degree_does_not_factor_the_modulus():
 def test_reduce_degree_is_the_basis_remainder(m, data):
     # the truncated falling-factorial sum is the remainder of long division
     # by x(x-1)...(x-mu+1), as polynomials mod m, not only as functions
-    n = data.draw(st.integers(0, kempner_mu_scan(m) + 30))
-    f = Polynomial(data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n + 1, max_size=n + 1)))
+    n = data.draw(st.integers(0, 3 * kempner_mu_scan(m) + 30))
+    f = Polynomial(data.draw(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=n + 1, max_size=n + 1)))
     assert reduce_degree(f, m) == divmod_monic(f, kempner_basis(m), m)[1]
+
+
+def test_reduce_degree_mid_size_is_the_basis_remainder():
+    # mu(2 * 997) = 997: 503 division steps on 4-byte slots, struct's widest
+    m = 2 * 997
+    rng = random.Random(m)
+    f = Polynomial([rng.randrange(-10 ** 30, 10 ** 30) for _ in range(1500)])
+    assert reduce_degree(f, m) == divmod_monic(f, kempner_basis(m), m)[1]
+
+
+def test_reduce_degree_of_a_long_polynomial_mod_a_semiprime_is_fast():
+    # mu(2 * 9973) = 9973, on 6-byte slots; the cold call builds the basis
+    # mod m as well
+    m, mu = 2 * 9973, 9973
+    rng = random.Random(m)
+    f = Polynomial([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(12000)] + [1])
+    _kempner_tail.cache_clear()
+    start = time.perf_counter()
+    r = reduce_degree(f, m)
+    assert time.perf_counter() - start < 2.0
+    assert r.degree < mu and all(0 <= c < m for c in r.coeffs)
+    for x in (rng.randrange(m) for _ in range(50)):
+        assert r.eval_mod(x, m) == f.eval_mod(x, m)
+    # below mu there is nothing to divide: the residues, with no basis built
+    g = Polynomial([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(6000)] + [1])
+    start = time.perf_counter()
+    assert reduce_degree(g, m) == reduce_coeffs(g, m)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_basis_is_cached_per_modulus():
+    _kempner_tail.cache_clear()
+    f = Polynomial(range(1, 100))
+    first = reduce_degree(f, 215)
+    assert reduce_degree(f, 215) == first
+    info = _kempner_tail.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    assert info.maxsize is not None
 
 
 _coeff_lists = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=25)

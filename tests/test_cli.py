@@ -505,6 +505,51 @@ def test_construct_kempner_refuses_a_basis_too_large_to_build():
                            f"has over {counting._POWER_BITS} bits, too large to build\n")
 
 
+HUGE = str(10 ** 400)  # past the float range: d * log10(p) would overflow
+
+
+def _run_capped(argv):
+    """(exit code, stdout, stderr, seconds) of one CLI run under a 2 GiB
+    address-space cap."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "nullpoly.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", HUGE, "3", "2"),
+    ("enumerate", "3", "2", HUGE),
+    ("crt", "x", f"2^{HUGE}", "x", "3"),
+    ("construct", "2", HUGE, "--family", "kempner"),
+], ids=["count-n", "enumerate", "crt", "construct-kempner"])
+def test_an_exponent_past_the_float_range_is_refused(argv):
+    # each size check compares without turning the exponent into a float,
+    # which raised OverflowError and ended in a traceback
+    code, out, err, seconds = _run_capped(argv)
+    assert seconds < 2.0
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("count", "3", "2", HUGE), 4),
+    (("count", "10", "3", HUGE, "--monic"), 0),
+], ids=["count-d", "count-monic-d"])
+def test_a_count_mod_a_power_past_the_float_range_is_answered(argv, count):
+    # neither count builds 2^d or 3^d, so these are answered, as with an
+    # exponent that fits a float; the enumeration cross-check is skipped
+    code, out, err, seconds = _run_capped([*argv, "--json"])
+    assert seconds < 2.0
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["result"]["count"] == count and payload["verified"] is None
+
+
 def test_a_modulus_just_short_enough_to_print_is_answered(capsys):
     # 2^14282 * 3 has 4300 digits, 2^14283 * 3 has 4301
     code, out, err = run_cli(capsys, "crt", "x", "2^14282", "x", "3")

@@ -239,6 +239,50 @@ def test_product_tree():
     assert product(reversed(linear)) == want
 
 
+def _rem_oracle(c, tail, m):
+    """Remainder of c by x**mu - sum_j tail[j] * x**j, by conftest's long
+    division."""
+    return divmod_monic(Polynomial(c), Polynomial([-t for t in tail] + [1]), m)[1]
+
+
+@pytest.mark.parametrize("struct_max_bytes", [None, 0], ids=["measured", "bytes"])
+def test_rem_monic_at_slot_width_edges(monkeypatch, struct_max_bytes):
+    # m = 2**k - 1 and 2**k + 1 put the most a slot holds,
+    # (m - 1) * (1 + mu * (m - 1)), on both sides of byte boundaries; the
+    # coefficients run far above m**2 and below 0, n - mu is 1 or 17, and
+    # the tail is extreme (all m - 1), random or all zeros (x**mu itself)
+    if struct_max_bytes is not None:
+        monkeypatch.setattr(polys, "_STRUCT_MAX_BYTES", struct_max_bytes)
+    rng = random.Random(f"rem:{struct_max_bytes}")
+    widths = set()
+    for k in range(1, 40):
+        for m in {max(2 ** k - 1, 2), 2 ** k + 1}:
+            for mu in (1, 3, 33):
+                widths.add(((m - 1) * (1 + mu * (m - 1))).bit_length() // 8)
+                for n in (mu + 1, mu + 17):
+                    big = [rng.randrange(-m ** 3, m ** 3) for _ in range(n)]
+                    big[rng.randrange(n)] = rng.choice((-10 ** 40, 10 ** 40 - 1))
+                    cases = [
+                        ([-1] * n, [m - 1] * mu),
+                        ([m * rng.randrange(m ** 2) - 1 for _ in range(n)], [m - 1] * mu),
+                        (big, [rng.randrange(m) for _ in range(mu)]),
+                        (big, [0] * mu),
+                    ]
+                    for c, tail in cases:
+                        r = polys._rem_monic(c, tail, m)
+                        assert len(r) == mu and all(0 <= v < m for v in r)
+                        assert Polynomial(r) == _rem_oracle(c, tail, m), (m, mu, n)
+    assert widths >= set(range(1, 10))
+
+
+def test_rem_monic_below_the_divisor_degree_is_the_residues():
+    # trailing zeros are kept, as the remainder's mu - 1 top places
+    assert polys._rem_monic([], [1, 2], 5) == []
+    assert polys._rem_monic([7, -1, 10], [0, 0, 0], 5) == [2, 4, 0]
+    assert polys._rem_monic([7, -1, 10, 1], [0, 0, 0], 5) == [2, 4, 0]
+    assert polys._rem_monic([7, -1, 10, 1], [1, 1, 1], 5) == [3, 0, 1]
+
+
 def test_eval_examples():
     f = parse_polynomial("x^4-2x^3+3x^2-2x")
     assert f(3) == 48
