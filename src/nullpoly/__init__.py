@@ -6,12 +6,14 @@ equivalence testing, and counting and enumeration of all null polynomials
 of bounded degree. Each question has one path: nullity, null order,
 canonical form, degree reduction, counting and enumeration all rest on
 the falling-factorial coordinates b_k of f = sum b_k * x(x-1)...(x-k+1)
-(for a prime modulus p, on the fold of f by x**p - x). The paper's own
-formulas that no question needs (the layered enumeration, the digit-block
-count, the scaled tower values, the reduction of a composite m to its
-prime powers) and the brute-force checks live in the tests as independent
-oracles; tests/test_modulus.py and tests/test_acceptance.py hold the
-reduction to Kempner's mu.
+(for a prime modulus p, on the fold of f by x**p - x); the canonical form
+mod a composite m combines those mod its prime powers by CRT, the paper's
+first reduction. The paper's own formulas that no question needs (the
+layered enumeration, the digit-block count, the scaled tower values, the
+least monic null polynomial mod m from those mod its prime powers) and
+the brute-force checks live in the tests as independent oracles;
+tests/test_modulus.py and tests/test_acceptance.py hold the last to
+Kempner's mu.
 
 The package exports the functions the benchmark calls; everything else is
 imported from its module, e.g. nullpoly.polys.parse_polynomial.

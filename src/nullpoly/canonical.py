@@ -23,8 +23,9 @@ function mod p, so it is the reduced polynomial, and it is the remainder
 by x(x-1)...(x-p+1) as well, because that product is ≡ x**p - x (mod p).
 The canonical form reads a_k, k < p, off the fold of length n. A short
 fold goes through the O(n**2) transform; a long one, with
-n**2 > _VALUES_CROSSOVER * p, through its values on F_p, in O(p) steps
-and two integer products (polys._kronecker):
+n**2 > _VALUES_CROSSOVER * s * p (s from 1 to 6 with p's bit length),
+through its values on F_p, in O(p) steps and two integer products
+(polys._kronecker):
 - f(0) is c_0, and f(g**i), i < p - 1, for a primitive root g, is one
   product by Bluestein's chirp, ik = T(i+k) - T(i) - T(k) with
   T(t) = t(t-1)/2 (Bluestein 1970);
@@ -35,26 +36,80 @@ Everything the values path derives from p alone (the chirp and its
 inverse, the discrete logs, the factorials and the e**(-x) row) is built
 once per prime by _values_tables, in a bounded lru_cache; a call makes
 C-level map passes over them around its two products.
+
+The canonical form mod a composite m is the paper's first reduction: a_k
+mod m is fixed by a_k mod each prime power p**d of m (CRT), and a_k ≡ 0
+(mod p**d) from k = mu(p**d) on. So the form mod m is the coordinatewise
+CRT of the forms mod each p**d, padded with zeros to mu(m)
+(modulus.crt_sum). modulus.crt_plan keeps mu(m), the parts and their CRT
+weights per modulus in a bounded lru_cache, so a repeated m is factored
+once. A part with d = 1 is read off the fold, as for a prime. A part with
+d >= 2 takes the transform mod p**d, of f's remainder by (x**p - x)**d
+first when p >= _DIVIDE_MIN_P: that divisor is monic of degree p*d with
+d + 1 terms, and null mod p**d, since p divides every value of x**p - x;
+so the transform runs on fewer than p*d coefficients, however long f is.
+The parts cost more than they save below mu(m) = _SPLIT_MIN_MU, and when
+the undivided parts (p < _DIVIDE_MIN_P, d >= 2) take mu(m) passes over f
+or more between them, as mod 2**20 * 3**5; there the form is one
+transform mod m, with mu(m) from the same plan.
+reduce_degree and is_null_binomial never factor m.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul, sub
+from math import comb
+from operator import add, mul, sub
 
 from ._record import Record
-from .modulus import kempner_mu
+from .modulus import crt_plan, crt_sum
 from .oracle import _fold, _newton_coords, is_null_binomial
 from .polys import Polynomial, _kronecker, _rem_monic, reduce_coeffs
 from .primes import is_prime, prime_factorization
 
 # Mod a prime p, canonical_form takes the values path when the fold's length
-# n has n**2 > _VALUES_CROSSOVER * p: the transform costs about n**2 / 2
-# steps, the values path about p steps and two products. The two cost the
-# same at n**2 / p = 20-25 (p = 457 and 1009), 100-130 (9973) and 100-160
-# (99991) on a 2-core x86-64 host, with the per-prime tables cached; at 70
-# neither pays over about 3x.
-_VALUES_CROSSOVER = 70
+# n has n**2 > _VALUES_CROSSOVER * s * p, with s = min(max(b - 9, 1), 6) for
+# p of b bits: the transform costs about n**2 / 2 steps, the values path
+# about p steps and two products, which grow faster than p from about
+# 2**10. Time of one call, transform / values path, per-prime tables cached,
+# on a 2-core x86-64 host (Python 3.11), by r = n**2 / p (us up to 1009,
+# then ms):
+#   p     | r = 10  | 20      | 25        | 40        | 70        | 100       | 150       | n = p
+#   23    | 13/27   | 22/29   | 25/29     |           |           |           |           | 25/30
+#   43    | 21/43   | 40/44   | 48/45     | 75/46     |           |           |           | 81/49
+#   53    | 27/51   | 48/52   | 60/54     | 93/57     |           |           |           | 116/55
+#   101   | 45/83   | 82/86   | 105/90    | 156/92    | 284/96    | 368/101   |           | 384/101
+#   457   | 237/423 | 463/441 | 543/434   | 876/446   | 1490/461  | 2091/481  | 3204/503  | 10277/570
+#   1009  | 476/1054| 951/1073| 1156/1664 | 2428/1740 | 4351/1196 | 4773/1249 | 7297/1278 | 54362/1595
+#   2003  | 0.9/4.2 | 1.7/4.3 | 2.1/4.4   | 3.5/5.5   | 6.5/6.2   | 8.8/5.6   | 14.6/5.9  | 207/7.4
+#   4999  | 2.1/17  | 4.3/17  | 5.4/17    | 8.8/17    | 15.8/17   | 22.6/17.5 | 35/32     | 1340/31
+#   9973  | 4.2/42  | 9.2/48  | 12.4/54   | 18.1/50   | 35/52     | 50/58     | 108/63    | 7015/110
+#   99991 | 51/1048 | 147/1049| 179/1055  | 299/1059  | 502/970   | 608/963   | 725/606   |
+# The two cost the same at r = 20-25 from p = 43 to 1009 (s = 1), about 65
+# at 2003 (s = 2), 85 at 4999 (s = 4), 110-120 at 9973 (s = 5) and 140 at
+# 99991 (s = 6). At p <= 23 the fold is too short for the values path to
+# win (r <= p).
+_VALUES_CROSSOVER = 20
+
+# Mod a composite m, canonical_form combines the forms mod m's prime powers
+# from this mu(m) on, and takes one transform mod m below it. Median time of
+# the split over one transform, on up to six composite m < 3000 a mu, f of
+# n = 1.5 * mu and 4 * mu random coefficients (same host as above):
+#   mu        | 8    | 12   | 15   | 17   | 20   | 21   | 22   | 26   | 29   | 34
+#   1.5 * mu  | 2.23 | 1.48 | 1.60 | 1.53 | 1.38 | 1.17 | 1.23 | 0.89 | 1.02 | 0.83
+#   4 * mu    | 1.43 | 1.25 | 1.25 | 0.71 | 1.02 | 0.77 | 0.59 | 0.57 | 0.47 | 0.39
+# From mu 20 on a short f pays at most about 1.4 times, and a longer one
+# gains, the more the longer: mod 2 * 9973, f of degree 6000 takes 0.05 s
+# against 1.9 s.
+_SPLIT_MIN_MU = 20
+# A part p**d, d >= 2, is divided by (x**p - x)**d before its transform from
+# this p on. Mod p**d the transform of n coefficients costs about
+# n * mu(p**d) steps, about n * d * p, and the division about n * d; for
+# p = 2 and 3 the division's passes cost more than the steps they save:
+# per part, divided / not, in us, n = 2000: 2**3 1184/837, 3**3 795/997,
+# 5**2 584/1141, 11**2 585/3267; n = 100: 3**3 91/54, 5**2 60/61, 11**2
+# 64/142.
+_DIVIDE_MIN_P = 5
 
 
 class CanonicalForm(Record):
@@ -74,11 +129,12 @@ def _primitive_root(p: int) -> int:
 
 
 # Bounded for long-lived callers; bench's equiv workload asks about three
-# primes per seed. One entry is six tuples of about p residues, which share
+# primes per seed, and the split of its three moduli k * q about three
+# more, q near 50. One entry is six tuples of about p residues, which share
 # one int object per residue: about 28 kB at p near 460, and 7.6 MB at p
 # near 10**5, the CLI's mu limit (measured by tracemalloc; building it peaks
-# at about 35 MB there), so a full cache of such primes holds about 30 MB.
-@lru_cache(maxsize=4)
+# at about 35 MB there), so a full cache of such primes holds about 60 MB.
+@lru_cache(maxsize=8)
 def _values_tables(p: int) -> tuple[tuple[int, ...], ...]:
     """What the values path mod the prime p derives from p alone, each entry
     a residue mod p: the chirp g**T(t) and its inverse for t < p - 1
@@ -165,20 +221,77 @@ def reduce_degree(f: Polynomial, m: int) -> Polynomial:
     return Polynomial(_rem_monic(f.coeffs, _kempner_tail(m, mu), m))
 
 
+def _prime_coords(coeffs, p: int) -> list[int]:
+    """a_k mod the prime p of sum_i coeffs[i] * x**i, read off its fold of
+    length n <= p: by the transform (n of them), or from the fold's values
+    on F_p (p of them) when n**2 > _VALUES_CROSSOVER * s * p, s rising with
+    p's bit length (see the constant)."""
+    c = _fold(coeffs, p)
+    if len(c) ** 2 > _VALUES_CROSSOVER * min(max(p.bit_length() - 9, 1), 6) * p:
+        return _newton_coords_by_values(c, p)
+    return list(_newton_coords(c, p))
+
+
+def _rem_null_power(coeffs, p: int, d: int, q: int) -> list[int]:
+    """Residues mod q = p**d of the remainder of sum_i coeffs[i] * x**i by
+    (x**p - x)**d, monic of degree p*d and null mod p**d: min(len(coeffs),
+    p*d) of them. (x**p - x)**d divides (x**P - x)**d for every power P of
+    p, as p - 1 divides P - 1, so f is divided by that of the largest P
+    with P*d below its length first, and by each lower one in turn. That
+    divisor is sum_j C(d, j) (-1)**(d-j) x**(d + j*(P-1)): d + 1 terms, the
+    next below the top P - 1 places lower, so each block of P - 1 top
+    coefficients is divided out at once, in d C-level passes."""
+    c, P = list(coeffs), p
+    while P * p * d < len(c):
+        P *= p
+    signs = [(-1) ** (d - j + 1) * comb(d, j) % q for j in range(d)]
+    while P > 1:
+        top, step = P * d, P - 1
+        hi = len(c)
+        while hi > top:
+            lo = max(top, hi - step)
+            t = [v % q for v in c[lo:hi]]  # the quotient's coefficients from x**(lo - top)
+            for j, w in enumerate(signs):
+                s = lo - top + d + j * step
+                c[s:s + hi - lo] = map(add, c[s:s + hi - lo], map(w.__mul__, t))
+            hi = lo
+        c = c[:top]
+        P //= p
+    return [v % q for v in c]
+
+
+def _part_coords(coeffs, p: int, d: int, q: int) -> list[int]:
+    """a_k mod q = p**d of sum_i coeffs[i] * x**i, k < mu(q) at most: off
+    the fold for d = 1 (_prime_coords), else by the transform mod q, of
+    f's remainder by (x**p - x)**d when p >= _DIVIDE_MIN_P."""
+    if d == 1:
+        return _prime_coords(coeffs, p)
+    if p >= _DIVIDE_MIN_P:
+        coeffs = _rem_null_power(coeffs, p, d, q)
+    return list(_newton_coords(coeffs, q))
+
+
 def canonical_form(f: Polynomial, m: int) -> CanonicalForm:
     """Newton coordinates a_k mod m, k < mu(m). For a prime m they are
-    read off the fold of f by x**m - x, of length n: by the transform when
-    n**2 <= _VALUES_CROSSOVER * m, else from the fold's values on F_m
+    read off the fold of f by x**m - x (_prime_coords). For a composite m
+    they are the CRT of the coordinates mod each prime power p**d of m
+    (_part_coords), unless mu(m) < _SPLIT_MIN_MU or the parts with
+    p < _DIVIDE_MIN_P and d >= 2, which take mu(p**d) passes over all of
+    f each, take mu(m) or more together; then they are one transform mod m
     (module docstring)."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if is_prime(m):
-        c, mu = _fold(f.coeffs, m), m
-        if len(c) ** 2 > _VALUES_CROSSOVER * m:
-            return CanonicalForm(m, tuple(_newton_coords_by_values(c, m)))
+        a, mu = _prime_coords(f.coeffs, m), m
     else:
-        c, mu = f.coeffs, kempner_mu(m)
-    a = list(_newton_coords(c, m))
+        mu, parts, weights = crt_plan(m)
+        # the second test sums the passes over all of f of the parts that are
+        # not divided first
+        if (mu < _SPLIT_MIN_MU
+                or sum(mu_q for p, d, _, mu_q in parts if d > 1 and p < _DIVIDE_MIN_P) >= mu):
+            a = list(_newton_coords(f.coeffs, m))
+        else:
+            a = crt_sum([_part_coords(f.coeffs, p, d, q) for p, d, q, _ in parts], weights, m)
     a += [0] * (mu - len(a))
     return CanonicalForm(m, tuple(a))
 

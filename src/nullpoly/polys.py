@@ -358,13 +358,21 @@ def parse_polynomial(text: str) -> Polynomial:
         terms[k] = terms.get(k, 0) + mult * c
         pos = match.end()
         first = False
-    size = max(terms) + 1
-    if size > sys.maxsize:  # more entries than a list can index
-        raise ValueError(f"degree {size - 1} is too large for a coefficient list")
-    coeffs = [0] * size
+    check_degree(max(terms))
+    coeffs = [0] * (max(terms) + 1)
     for k, c in terms.items():
         coeffs[k] = c
     return Polynomial(coeffs)
+
+
+def check_degree(base: int, exp: int = 1) -> None:
+    """Refuse a polynomial of degree base**exp (base >= 2 if exp > 1) that
+    no coefficient list can hold: one of more than sys.maxsize entries, the
+    most a list can index. base**exp is compared exactly, and built only
+    for exp below sys.maxsize's bit length."""
+    if exp >= sys.maxsize.bit_length() or base ** exp >= sys.maxsize:
+        shown = base if exp == 1 else f"{base}^{exp}"
+        raise ValueError(f"degree {shown} is too large for a coefficient list")
 
 
 def format_csv(f: Polynomial) -> str:

@@ -15,21 +15,24 @@ from conftest import (
     newton_coefficients,
     prime_and_long_poly,
 )
-from nullpoly import polys
+from nullpoly import modulus, polys
 from nullpoly.canonical import (
+    _SPLIT_MIN_MU,
     _VALUES_CROSSOVER,
     CanonicalForm,
     _kempner_tail,
     _newton_coords_by_values,
+    _rem_null_power,
     _values_tables,
     canonical_form,
     equivalent,
     reduce_degree,
 )
 from nullpoly.construct import least_monic_null
-from nullpoly.modulus import kempner_basis, kempner_mu
+from nullpoly.modulus import crt_plan, kempner_basis, kempner_mu
 from nullpoly.oracle import _fold, _newton_coords
 from nullpoly.polys import Polynomial, parse_polynomial, reduce_coeffs
+from nullpoly.primes import prime_factorization
 
 X = Polynomial((0, 1))
 
@@ -325,3 +328,99 @@ def test_prime_moduli_are_fast():
 def test_reduce_degree_after_the_fold_is_the_basis_remainder(case):
     f, p = case
     assert reduce_degree(f, p) == divmod_monic(f, kempner_basis(p), p)[1]
+
+
+# Composite moduli for the split into prime powers, mu(m) in the comments:
+# semiprimes, prime powers p**d with d >= 2, three or more parts, and m on
+# both sides of _SPLIT_MIN_MU. 2**20 * 3**5 is not split: its parts mod
+# 2**20 and 3**5 would take 24 + 12 passes over f, one transform mod m 24.
+SPLIT_MODULI = (
+    86, 106, 141, 371, 2 * 97, 3 * 89,           # k * q: 43, 53, 47, 53, 97, 89
+    121, 169, 343, 625, 5 ** 5, 7 ** 4,          # p**d: 22, 26, 21, 20, 25, 28
+    3 ** 5 * 29, 8 * 23, 2 * 7 ** 3,             # with a part p**d: 29, 23, 21
+    2 ** 10 * 23, 2 ** 20 * 3 ** 5,              # 23, 24
+    2 * 3 * 29, 8 * 3 * 43, 3 * 5 * 121,         # three parts: 29, 43, 22
+    4 * 9 * 25 * 7 * 11 * 23,                    # six parts: 23
+    12, 26, 38, 49, 125, 360, 1001, 2 * 9 * 125, # below the cutoff: 4..19
+)
+
+
+def test_split_moduli_cover_both_sides_of_the_cutoff():
+    mus = [kempner_mu_scan(m) for m in SPLIT_MODULI]
+    assert sum(mu < _SPLIT_MIN_MU for mu in mus) == 8
+    assert min(mus) < _SPLIT_MIN_MU <= max(mus)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SPLIT_MODULI), st.data())
+def test_canonical_form_mod_a_composite_is_the_newton_oracle(m, data):
+    # the oracle is the exact forward differences of f, reduced mod m; it
+    # shares no code with the transform, the fold, the division by
+    # (x**p - x)**d or the CRT
+    mu = kempner_mu_scan(m)
+    n = data.draw(st.integers(0, 3 * mu))
+    f = Polynomial(data.draw(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=n + 1, max_size=n + 1)))
+    a = [c % m for c in newton_coefficients(f)[:mu]]
+    assert canonical_form(f, m) == CanonicalForm(m, tuple(a + [0] * (mu - len(a))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(5, 2), (5, 3), (7, 2), (7, 4), (11, 2), (13, 3), (2, 3), (3, 5)]), st.data())
+def test_rem_null_power_is_the_remainder_by_the_sparse_divisor(pd, data):
+    # against schoolbook long division by (x**p - x)**d mod p**d, at lengths
+    # that take one, two and three powers P of p
+    p, d = pd
+    q = p ** d
+    n = data.draw(st.integers(0, p ** 3 * d + 3))
+    c = data.draw(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=n, max_size=n))
+    r = _rem_null_power(c, p, d, q)
+    assert len(r) == min(n, p * d) and all(0 <= v < q for v in r)
+    divisor = Polynomial((0, -1) + (0,) * (p - 2) + (1,)) ** d  # (x**p - x)**d
+    assert Polynomial(r) == divmod_monic(Polynomial(c), divisor, q)[1]
+
+
+def test_long_forms_mod_a_composite_are_fast():
+    # one transform mod m takes 1.8-1.9 s on each; split, the large prime's
+    # part is a fold and its values, the small parts folds and short
+    # transforms
+    for m in (2 * 9973, 6 * 4999):
+        rng = random.Random(m)
+        f = Polynomial([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(6000)] + [1])
+        crt_plan.cache_clear()
+        start = time.perf_counter()
+        cf = canonical_form(f, m)
+        assert time.perf_counter() - start < 0.5, m
+        assert len(cf.a) == kempner_mu(m)
+        for x in rng.sample(range(m), 3):
+            # f(x) = sum_k a_k * C(x, k)
+            value, binom = 0, 1
+            for k in range(min(x + 1, len(cf.a))):
+                value += cf.a[k] * binom
+                binom = binom * (x - k) // (k + 1)
+            assert value % m == f.eval_mod(x, m), (m, x)
+
+
+def test_a_repeated_modulus_is_factored_once(monkeypatch):
+    calls = []
+
+    def counting_factor(m):
+        calls.append(m)
+        return prime_factorization(m)
+
+    monkeypatch.setattr(modulus, "factor", counting_factor)
+    f = Polynomial(range(1, 80))
+    for m in (371, 12, 121):  # split, one transform, one part
+        crt_plan.cache_clear()
+        calls.clear()
+        first = canonical_form(f, m)
+        assert canonical_form(f, m) == first
+        assert calls == [m]
+
+
+def test_the_plan_cache_is_bounded():
+    crt_plan.cache_clear()
+    size = crt_plan.cache_info().maxsize
+    assert size is not None
+    for m in range(4, 4 + 3 * size, 3):
+        canonical_form(Polynomial((1, 2, 3)), m)
+        assert crt_plan.cache_info().currsize <= size

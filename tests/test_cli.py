@@ -13,6 +13,7 @@ import pytest
 
 from nullpoly import counting, modulus, oracle
 from nullpoly.cli import build_parser, main
+from nullpoly.construct import omega1_prime_power
 from nullpoly.polys import Polynomial, parse_polynomial
 
 
@@ -526,14 +527,32 @@ def _run_capped(argv):
     ("enumerate", "3", "2", HUGE),
     ("crt", "x", f"2^{HUGE}", "x", "3"),
     ("construct", "2", HUGE, "--family", "kempner"),
-], ids=["count-n", "enumerate", "crt", "construct-kempner"])
+    ("construct", "2", HUGE),
+    ("construct", "2", HUGE, "--family", "G"),
+], ids=["count-n", "enumerate", "crt", "construct-kempner", "construct-H", "construct-G"])
 def test_an_exponent_past_the_float_range_is_refused(argv):
     # each size check compares without turning the exponent into a float,
-    # which raised OverflowError and ended in a traceback
+    # which raised OverflowError and ended in a traceback; construct's H and
+    # G ended in a RecursionError, building one tower level a call
     code, out, err, seconds = _run_capped(argv)
     assert seconds < 2.0
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (("construct", "2", "100", "--family", "G"), "2^100"),
+    (("construct", "2", "63", "--family", "G"), "2^63"),
+    (("construct", "2", str(2 ** 63)), str(omega1_prime_power(2, 2 ** 63))),
+], ids=["G-2^100", "G-2^63", "H-2^63"])
+def test_a_construct_degree_no_list_can_hold_is_refused(argv, degree):
+    # a degree of sys.maxsize (2**63 - 1) or more is refused before any tower
+    # level is built; without the refusal G(2, 100) is built level by level,
+    # and the run does not end
+    code, out, err, seconds = _run_capped(argv)
+    assert seconds < 2.0
+    assert (code, out) == (1, "")
+    assert err == f"error: degree {degree} is too large for a coefficient list\n"
 
 
 @pytest.mark.parametrize("argv, count", [
