@@ -43,23 +43,22 @@ mod m is fixed by a_k mod each prime power p**d of m (CRT), and a_k ≡ 0
 CRT of the forms mod each p**d, padded with zeros to mu(m)
 (modulus.crt_sum). modulus.crt_plan keeps mu(m), the parts and their CRT
 weights per modulus in a bounded lru_cache, so a repeated m is factored
-once. A part with d = 1 is read off the fold, as for a prime. A part with
-d >= 2 takes the transform mod p**d, of f's remainder by (x**p - x)**d
-first when p >= _DIVIDE_MIN_P: that divisor is monic of degree p*d with
-d + 1 terms, and null mod p**d, since p divides every value of x**p - x;
-so the transform runs on fewer than p*d coefficients, however long f is.
-The parts cost more than they save below mu(m) = _SPLIT_MIN_MU, and when
-the undivided parts (p < _DIVIDE_MIN_P, d >= 2) take mu(m) passes over f
-or more between them, as mod 2**20 * 3**5; there the form is one
-transform mod m, with mu(m) from the same plan.
+once. A part with d = 1 is read off the fold, as for a prime. A part q =
+p**d with d >= 2 takes the transform mod q of f's remainder by the basis
+mod q, of degree mu(q) from the plan, by the same division and cached tail
+as reduce_degree; so the transform runs on at most mu(q) coefficients,
+however long f is. Both functions thus take one of two remainders: the
+fold mod a prime, and polys._rem_monic by the basis mod any other modulus.
+Below mu(m) = _SPLIT_MIN_MU the parts cost more than
+they save, and the form is one transform mod m, with mu(m) from the same
+plan.
 reduce_degree and is_null_binomial never factor m.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
-from operator import add, mul, sub
+from operator import mul, sub
 
 from ._record import Record
 from .modulus import crt_plan, crt_sum
@@ -102,14 +101,6 @@ _VALUES_CROSSOVER = 20
 # gains, the more the longer: mod 2 * 9973, f of degree 6000 takes 0.05 s
 # against 1.9 s.
 _SPLIT_MIN_MU = 20
-# A part p**d, d >= 2, is divided by (x**p - x)**d before its transform from
-# this p on. Mod p**d the transform of n coefficients costs about
-# n * mu(p**d) steps, about n * d * p, and the division about n * d; for
-# p = 2 and 3 the division's passes cost more than the steps they save:
-# per part, divided / not, in us, n = 2000: 2**3 1184/837, 3**3 795/997,
-# 5**2 584/1141, 11**2 585/3267; n = 100: 3**3 91/54, 5**2 60/61, 11**2
-# 64/142.
-_DIVIDE_MIN_P = 5
 
 
 class CanonicalForm(Record):
@@ -185,8 +176,10 @@ def _newton_coords_by_values(c: list[int], p: int) -> list[int]:
 
 
 # Bounded for long-lived callers; bench's equiv workload asks about nine
-# composite moduli per seed. One entry is mu residues: about 3.6 MB at
-# mu = 10**5, the CLI's mu limit.
+# composite moduli per seed. reduce_degree mod m and canonical_form's parts
+# p**d, d >= 2, share it: the split parts of that pool are the prime powers
+# it asks reduce_degree about, so they add no entries. One entry is mu
+# residues: about 3.6 MB at mu = 10**5, the CLI's mu limit.
 @lru_cache(maxsize=16)
 def _kempner_tail(m: int, mu: int) -> tuple[int, ...]:
     """tail_j, j < mu, with x**mu ≡ sum_j tail_j * x**j modulo m and
@@ -221,77 +214,39 @@ def reduce_degree(f: Polynomial, m: int) -> Polynomial:
     return Polynomial(_rem_monic(f.coeffs, _kempner_tail(m, mu), m))
 
 
-def _prime_coords(coeffs, p: int) -> list[int]:
-    """a_k mod the prime p of sum_i coeffs[i] * x**i, read off its fold of
-    length n <= p: by the transform (n of them), or from the fold's values
-    on F_p (p of them) when n**2 > _VALUES_CROSSOVER * s * p, s rising with
-    p's bit length (see the constant)."""
-    c = _fold(coeffs, p)
-    if len(c) ** 2 > _VALUES_CROSSOVER * min(max(p.bit_length() - 9, 1), 6) * p:
-        return _newton_coords_by_values(c, p)
-    return list(_newton_coords(c, p))
-
-
-def _rem_null_power(coeffs, p: int, d: int, q: int) -> list[int]:
-    """Residues mod q = p**d of the remainder of sum_i coeffs[i] * x**i by
-    (x**p - x)**d, monic of degree p*d and null mod p**d: min(len(coeffs),
-    p*d) of them. (x**p - x)**d divides (x**P - x)**d for every power P of
-    p, as p - 1 divides P - 1, so f is divided by that of the largest P
-    with P*d below its length first, and by each lower one in turn. That
-    divisor is sum_j C(d, j) (-1)**(d-j) x**(d + j*(P-1)): d + 1 terms, the
-    next below the top P - 1 places lower, so each block of P - 1 top
-    coefficients is divided out at once, in d C-level passes."""
-    c, P = list(coeffs), p
-    while P * p * d < len(c):
-        P *= p
-    signs = [(-1) ** (d - j + 1) * comb(d, j) % q for j in range(d)]
-    while P > 1:
-        top, step = P * d, P - 1
-        hi = len(c)
-        while hi > top:
-            lo = max(top, hi - step)
-            t = [v % q for v in c[lo:hi]]  # the quotient's coefficients from x**(lo - top)
-            for j, w in enumerate(signs):
-                s = lo - top + d + j * step
-                c[s:s + hi - lo] = map(add, c[s:s + hi - lo], map(w.__mul__, t))
-            hi = lo
-        c = c[:top]
-        P //= p
-    return [v % q for v in c]
-
-
-def _part_coords(coeffs, p: int, d: int, q: int) -> list[int]:
-    """a_k mod q = p**d of sum_i coeffs[i] * x**i, k < mu(q) at most: off
-    the fold for d = 1 (_prime_coords), else by the transform mod q, of
-    f's remainder by (x**p - x)**d when p >= _DIVIDE_MIN_P."""
+def _part_coords(coeffs, p: int, d: int, q: int, mu: int) -> list[int]:
+    """a_k mod q = p**d of sum_i coeffs[i] * x**i, k < mu = mu(q) at most.
+    For d = 1 they are read off the fold of length n <= p: by the transform
+    (n of them), or from the fold's values on F_p (p of them) when
+    n**2 > _VALUES_CROSSOVER * s * p, s rising with p's bit length (see the
+    constant). For d >= 2 they are the transform mod q of f's remainder by
+    the basis mod q, whose tail is read only when f is longer than mu."""
     if d == 1:
-        return _prime_coords(coeffs, p)
-    if p >= _DIVIDE_MIN_P:
-        coeffs = _rem_null_power(coeffs, p, d, q)
+        c = _fold(coeffs, p)
+        if len(c) ** 2 > _VALUES_CROSSOVER * min(max(p.bit_length() - 9, 1), 6) * p:
+            return _newton_coords_by_values(c, p)
+        return list(_newton_coords(c, p))
+    if len(coeffs) > mu:
+        coeffs = _rem_monic(coeffs, _kempner_tail(q, mu), q)
     return list(_newton_coords(coeffs, q))
 
 
 def canonical_form(f: Polynomial, m: int) -> CanonicalForm:
     """Newton coordinates a_k mod m, k < mu(m). For a prime m they are
-    read off the fold of f by x**m - x (_prime_coords). For a composite m
+    read off the fold of f by x**m - x (_part_coords). For a composite m
     they are the CRT of the coordinates mod each prime power p**d of m
-    (_part_coords), unless mu(m) < _SPLIT_MIN_MU or the parts with
-    p < _DIVIDE_MIN_P and d >= 2, which take mu(p**d) passes over all of
-    f each, take mu(m) or more together; then they are one transform mod m
-    (module docstring)."""
+    (_part_coords), unless mu(m) < _SPLIT_MIN_MU; then they are one
+    transform mod m (module docstring)."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if is_prime(m):
-        a, mu = _prime_coords(f.coeffs, m), m
+        a, mu = _part_coords(f.coeffs, m, 1, m, m), m
     else:
         mu, parts, weights = crt_plan(m)
-        # the second test sums the passes over all of f of the parts that are
-        # not divided first
-        if (mu < _SPLIT_MIN_MU
-                or sum(mu_q for p, d, _, mu_q in parts if d > 1 and p < _DIVIDE_MIN_P) >= mu):
+        if mu < _SPLIT_MIN_MU:
             a = list(_newton_coords(f.coeffs, m))
         else:
-            a = crt_sum([_part_coords(f.coeffs, p, d, q) for p, d, q, _ in parts], weights, m)
+            a = crt_sum([_part_coords(f.coeffs, *part) for part in parts], weights, m)
     a += [0] * (mu - len(a))
     return CanonicalForm(m, tuple(a))
 

@@ -22,7 +22,6 @@ from . import canonical, construct, counting, modulus, oracle
 from .polys import (
     ParseError,
     Polynomial,
-    check_degree,
     format_csv,
     format_human,
     parse_polynomial,
@@ -118,11 +117,9 @@ def _cmd_construct(args):
     digits = construct.digit_vector(p, d)  # refuses a p that is not prime, then d < 1
     family = args.family
     if family == "H":
-        check_degree(construct.omega1_prime_power(p, d))
         poly = construct.least_monic_null(p, d)
         m = p ** d
     elif family == "G":
-        check_degree(p, d)
         poly = construct.build_tower(p, d)[-1]
         m = p ** construct.repunit(p, d)
     else:

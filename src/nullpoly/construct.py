@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .polys import Polynomial, product
+from .polys import Polynomial, check_degree, product
 from .primes import require_prime
 
 
@@ -39,10 +39,13 @@ def repunit(p: int, n: int) -> int:
 def build_tower(p: int, n: int) -> tuple[Polynomial, ...]:
     """Tower levels 1..n for the prime p: entry k - 1 is level k, monic of
     degree p**k and null mod p**repunit(p, k). Level n is built on the
-    cached build_tower(p, n - 1), so each level is built once per prime."""
+    cached build_tower(p, n - 1), so each level is built once per prime.
+    A degree p**n that no coefficient list can hold is refused before the
+    first level is built."""
     require_prime(p)
     if n < 1:
         raise ValueError("tower height must be >= 1")
+    check_degree(p, n)
     lower = build_tower(p, n - 1) if n > 1 else ()
     g = lower[-1] if lower else Polynomial((0, 1))
     step = p ** repunit(p, n - 1)
@@ -87,12 +90,15 @@ def least_monic_null(p: int, d: int) -> Polynomial:
     """The least-degree monic polynomial vanishing identically mod p**d.
 
     Product of tower levels with the digit-vector exponents; monic over Z,
-    of degree omega1_prime_power(p, d) = mu(p**d).
+    of degree omega1_prime_power(p, d) = mu(p**d). A degree that no
+    coefficient list can hold is refused before any tower level is built.
     """
+    omega1 = omega1_prime_power(p, d)
+    check_degree(omega1)
     digits = digit_vector(p, d)
     tower = build_tower(p, len(digits))
     h = product(level ** e for level, e in zip(tower, digits) if e)
-    if h.coeffs[-1] != 1 or h.degree != omega1_prime_power(p, d):
+    if h.coeffs[-1] != 1 or h.degree != omega1:
         raise AssertionError(f"least monic null for {p}^{d} is not monic of degree omega1")
     return h
 

@@ -248,17 +248,20 @@ def falling_coords_by_division(coeffs, m: int):
         fact = fact * (k + 1) % m
 
 
-def newton_coefficients(f: Polynomial) -> tuple[int, ...]:
+def newton_coefficients(f: Polynomial, count: int | None = None) -> tuple[int, ...]:
     """Exact coordinates of f in the binomial basis: f = sum a[k]*C(x,k).
 
     a[k] is the k-th forward difference of f at 0, always an integer for an
-    integer polynomial; length is deg(f)+1 (empty for the zero polynomial).
+    integer polynomial; length is deg(f)+1 (empty for the zero polynomial),
+    or min(count, deg(f)+1) with a count, since a[k] needs only the values
+    f(0), ..., f(k).
     """
     if not f:
         return ()
-    values = [f(x) for x in range(f.degree + 1)]
+    n = f.degree + 1 if count is None else min(count, f.degree + 1)
+    values = [f(x) for x in range(n)]
     out = []
-    for _ in range(f.degree + 1):
+    for _ in range(n):
         out.append(values[0])
         values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     return tuple(out)

@@ -22,7 +22,6 @@ from nullpoly.canonical import (
     CanonicalForm,
     _kempner_tail,
     _newton_coords_by_values,
-    _rem_null_power,
     _values_tables,
     canonical_form,
     equivalent,
@@ -332,8 +331,8 @@ def test_reduce_degree_after_the_fold_is_the_basis_remainder(case):
 
 # Composite moduli for the split into prime powers, mu(m) in the comments:
 # semiprimes, prime powers p**d with d >= 2, three or more parts, and m on
-# both sides of _SPLIT_MIN_MU. 2**20 * 3**5 is not split: its parts mod
-# 2**20 and 3**5 would take 24 + 12 passes over f, one transform mod m 24.
+# both sides of _SPLIT_MIN_MU. 2**20 * 3**5 is split, like every m with
+# mu(m) >= _SPLIT_MIN_MU.
 SPLIT_MODULI = (
     86, 106, 141, 371, 2 * 97, 3 * 89,           # k * q: 43, 53, 47, 53, 97, 89
     121, 169, 343, 625, 5 ** 5, 7 ** 4,          # p**d: 22, 26, 21, 20, 25, 28
@@ -355,8 +354,8 @@ def test_split_moduli_cover_both_sides_of_the_cutoff():
 @given(st.sampled_from(SPLIT_MODULI), st.data())
 def test_canonical_form_mod_a_composite_is_the_newton_oracle(m, data):
     # the oracle is the exact forward differences of f, reduced mod m; it
-    # shares no code with the transform, the fold, the division by
-    # (x**p - x)**d or the CRT
+    # shares no code with the transform, the fold, the division by the
+    # basis mod p**d or the CRT
     mu = kempner_mu_scan(m)
     n = data.draw(st.integers(0, 3 * mu))
     f = Polynomial(data.draw(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=n + 1, max_size=n + 1)))
@@ -364,19 +363,29 @@ def test_canonical_form_mod_a_composite_is_the_newton_oracle(m, data):
     assert canonical_form(f, m) == CanonicalForm(m, tuple(a + [0] * (mu - len(a))))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(5, 2), (5, 3), (7, 2), (7, 4), (11, 2), (13, 3), (2, 3), (3, 5)]), st.data())
-def test_rem_null_power_is_the_remainder_by_the_sparse_divisor(pd, data):
-    # against schoolbook long division by (x**p - x)**d mod p**d, at lengths
-    # that take one, two and three powers P of p
-    p, d = pd
-    q = p ** d
-    n = data.draw(st.integers(0, p ** 3 * d + 3))
-    c = data.draw(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=n, max_size=n))
-    r = _rem_null_power(c, p, d, q)
-    assert len(r) == min(n, p * d) and all(0 <= v < q for v in r)
-    divisor = Polynomial((0, -1) + (0,) * (p - 2) + (1,)) ** d  # (x**p - x)**d
-    assert Polynomial(r) == divmod_monic(Polynomial(c), divisor, q)[1]
+@pytest.mark.parametrize("m", [2 ** 30, 3 ** 20, 5 ** 9, 101 ** 2, 2 ** 20 * 3 ** 5])
+def test_long_forms_mod_prime_power_parts_are_the_newton_oracle(m):
+    # f far past mu: each part p**d, d >= 2, is divided by the basis mod p**d
+    # before its transform; the oracle is the exact forward differences of f
+    # at 0, ..., mu - 1, reduced mod m
+    mu = kempner_mu_scan(m)
+    rng = random.Random(m)
+    for n in (mu - 1, mu, mu + 1, 3 * mu, 20 * mu):
+        f = Polynomial([rng.randrange(-10 ** 30, 10 ** 30) for _ in range(n)] + [1])
+        a = [c % m for c in newton_coefficients(f, mu)]
+        assert canonical_form(f, m) == CanonicalForm(m, tuple(a + [0] * (mu - len(a)))), n
+
+
+def test_reduce_degree_and_the_parts_share_one_basis():
+    # 121 = 11**2, mu 22, is split into its one part
+    m, mu = 121, 22
+    _kempner_tail.cache_clear()
+    canonical_form(Polynomial(range(1, mu + 1)), m)  # nothing past mu to divide
+    assert _kempner_tail.cache_info().currsize == 0
+    reduce_degree(Polynomial(range(1, 60)), m)
+    canonical_form(Polynomial(range(2, 50)), m)  # 48 coefficients: read the tail
+    info = _kempner_tail.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
 
 def test_long_forms_mod_a_composite_are_fast():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,3 +314,17 @@ def test_tower_verification_rejects_bad_input():
         build_tower(4, 2)
     with pytest.raises(ValueError):
         build_tower(3, 0)
+
+
+@pytest.mark.parametrize("build, args, degree", [
+    (least_monic_null, (2, 10 ** 400), str(omega1_prime_power(2, 10 ** 400))),
+    (build_tower, (2, 100), "2^100"),
+], ids=["H-2^(10^400)", "G-2^100"])
+def test_a_degree_no_list_can_hold_is_refused_before_the_tower(build, args, degree):
+    # without the refusal H ends in a RecursionError, building one tower
+    # level a call, and G(2, 100) is built level by level and does not end
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refusal:
+        build(*args)
+    assert time.perf_counter() - start < 0.1
+    assert str(refusal.value) == f"degree {degree} is too large for a coefficient list"
