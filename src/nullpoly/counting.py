@@ -10,9 +10,19 @@ mod p**d are the sums
     sum_{k<=n} c_k * p**(d - e_k) * x(x-1)...(x-k+1)  (mod p**d),
     0 <= c_k < p**e_k,
 
-each exactly once. enumerate_null walks that box as a mixed-radix
-odometer. Every count is one formula in the box's log_p size,
-E(n) = sum_{k<=n} min(d, v_p(k!)), found in O(log_p n):
+each exactly once. enumerate_null walks that box group by group: the
+zero polynomial, then, for each k <= n with p**e_k > 1 from the lowest,
+the sums whose highest nonzero digit is c_k. Those have exactly k + 1
+coefficients, the top one nonzero, so no output needs trimming. A group is
+made in blocks of at most _BLOCK_CELLS coefficients, which bounds memory
+between yields, held column by column: column k holds coefficient k of
+every output of the block, as bytes when p**d <= 256. A block is grown by
+repeating a column (where a row is 0) or by one C-level pass a digit value
+(bytes.translate, or a map, where it is not); its records come from
+zip(*columns) through polys.from_trimmed; a small odometer over the lowest
+rows adds their sum to the few columns they reach. Every count is one
+formula in the box's log_p size, E(n) = sum_{k<=n} min(d, v_p(k!)), found
+in O(log_p n):
 
     count_null_le(n)  = p**E(n);
     count_monic(n)    = 0 below omega1, else p**E(n - 1);
@@ -39,7 +49,7 @@ from math import gcd, log2
 
 from ._record import Record
 from .construct import omega1_prime_power
-from .polys import Polynomial
+from .polys import Polynomial, from_trimmed
 from .primes import require_prime
 
 # Counts and factors from this value on are shown as their formula, so no
@@ -47,6 +57,10 @@ from .primes import require_prime
 _DISPLAY_LIMIT = 10 ** 40
 # The most bits of a power of p a count builds; 3**5292497 takes over 1 s.
 _POWER_BITS = 2 ** 23
+# The most coefficients enumerate_null holds in one block of outputs, so that
+# memory between yields stays bounded whatever the width and the radices:
+# about 0.4 MB traced while (2, 3, 8) or (1009, 1, 1009) is consumed.
+_BLOCK_CELLS = 2 ** 14
 
 
 class CountResult(Record):
@@ -64,53 +78,117 @@ def _check_args(n: int, p: int, d: int) -> None:
         raise ValueError("degree bound must be >= 0")
 
 
-def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
-    """Yield every null polynomial of degree <= n mod p**d exactly once.
-
-    A mixed-radix odometer over one flat coefficient list. Each k <= n with
-    g_k = gcd(p**d, k!) = p**e_k > 1 owns a digit of radix g_k and a row,
-    (p**d // g_k) * x(x-1)...(x-k+1) reduced mod p**d. One running
-    quantity gives both: g_k = gcd(p**d, g_{k-1} * k). k runs upward, so the
-    fastest digit has the shortest row. Advancing a digit adds its row to
-    the list in place, mod p**d. Since radix * row ≡ 0 (mod p**d), a digit
-    that wraps to 0 just adds its row once more and carries, so the
-    odometer never subtracts or rebuilds.
-
-    Rejects what count_null_le rejects, with the same messages.
-    Coefficients come out reduced to [0, p**d). The caller is responsible
-    for bounding the total via null_count_exponent first; generation order
-    is an implementation detail (the CLI sorts).
-    """
-    _check_args(n, p, d)
+def _rows(p: int, d: int, n: int) -> tuple[list[list[int]], list[int]]:
+    """The box's digits, by k upward: for each k <= n with
+    g_k = gcd(p**d, k!) = p**e_k > 1, the radix g_k and the row
+    (p**d // g_k) * x(x-1)...(x-k+1) mod p**d, k + 1 coefficients with top
+    p**d // g_k. One running quantity gives both: g_k = gcd(p**d, g_{k-1} * k)."""
     pd = p ** d
-    rows: list[tuple[tuple[int, int], ...]] = []  # sparse (index, coeff)
+    rows: list[list[int]] = []
     radices: list[int] = []
     falling = [1]  # x(x-1)...(x-k+1) mod p**d, ascending
-    g = 1  # gcd(p**d, k!)
+    g = 1
     for k in range(1, n + 1):
         falling = [(lo - (k - 1) * hi) % pd for lo, hi in zip([0] + falling, falling + [0])]
         g = gcd(pd, g * k)
         if g > 1:
             # c * scale % pd, without dividing a 2d-bit product: pd = g * scale
             scale = pd // g
-            row = [(i, c % g * scale) for i, c in enumerate(falling)]
-            rows.append(tuple((i, c) for i, c in row if c))
+            rows.append([c % g * scale for c in falling])
             radices.append(g)
-    acc = [0] * (n + 1)
-    digits = [0] * len(rows)
-    while True:
-        yield Polynomial(acc)
-        i = 0
-        while i < len(rows):
-            for k, c in rows[i]:
-                acc[k] = (acc[k] + c) % pd
-            digits[i] += 1
-            if digits[i] < radices[i]:
+    return rows, radices
+
+
+def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
+    """Yield every null polynomial of degree <= n mod p**d exactly once.
+
+    The zero polynomial comes first, then group j for each row j of _rows,
+    lowest first: the sums whose highest nonzero digit is row j's. Every
+    output of group j has deg(row j) + 1 coefficients and a nonzero top one,
+    p**d // g_j times the digit, so none needs trimming. A group is made in
+    blocks of at most _BLOCK_CELLS coefficients, one column per degree
+    (_blocks); records come from the columns' tuples through
+    polys.from_trimmed, so per output no interpreted step runs.
+
+    Rejects what count_null_le rejects, with the same messages, on the
+    first next(). Coefficients come out reduced to [0, p**d). The caller is
+    responsible for bounding the total via null_count_exponent first;
+    generation order is an implementation detail (the CLI sorts).
+    """
+    _check_args(n, p, d)
+    yield Polynomial(())
+    rows, radices = _rows(p, d, n)
+    for j in range(len(rows)):
+        for columns in _blocks(rows, radices, j, p ** d):
+            yield from from_trimmed(list(zip(*columns)))
+
+
+def _blocks(rows: list[list[int]], radices: list[int], j: int, pd: int) -> Iterator[list]:
+    """Group j of enumerate_null as blocks of columns: column k of a block
+    holds coefficient k of each of its outputs, mod pd, as bytes when
+    pd <= 256 and as a list of ints (or a lazy map over one) otherwise.
+
+    The fastest digit is row j's, over its nonzero values in chunks of at
+    most _BLOCK_CELLS // width outputs. Rows j-1, j-2, ... follow while the
+    block stays within _BLOCK_CELLS cells: each multiplies the block by its
+    radix g, a column where the row is 0 repeated g times, any other one
+    followed by g - 1 shifted copies, one C-level pass each (_shift). The rows
+    below, the lowest in degree, are the slow digits: a small odometer adds
+    their sum, a vector over the few columns they reach, to the block.
+    Since radix * row ≡ 0 (mod pd), a digit that wraps to 0 just adds its
+    row once more and carries, so the odometer never subtracts.
+    """
+    top, width = rows[j], len(rows[j])
+    per = max(1, _BLOCK_CELLS // width)
+    size, fast = min(radices[j] - 1, per), j
+    while fast and size * radices[fast - 1] <= per:
+        fast -= 1
+        size *= radices[fast]
+    slow = rows[:fast]
+    column = bytes if pd <= 256 else list
+    for lo in range(1, radices[j], per):
+        hi = min(lo + per, radices[j])
+        # c * v % pd for the row's entry c and each digit value v in lo..hi-1
+        block = [column(map(pd.__rmod__, range(c * lo, c * hi, c))) if c
+                 else column([0]) * (hi - lo) for c in top]
+        for i in range(j - 1, fast - 1, -1):
+            row, g = rows[i], radices[i]
+            for k, col in enumerate(block):
+                if k < len(row) and row[k]:
+                    grown = col[:]
+                    for v in range(1, g):
+                        grown += _shift(col, v * row[k] % pd, pd)
+                    block[k] = grown
+                else:
+                    block[k] = col * g
+        acc = [0] * len(slow[-1]) if slow else []
+        digits = [0] * fast
+        while True:
+            yield [_shift(col, a, pd) if a else col for col, a in zip(block, acc)] + block[len(acc):]
+            i = 0
+            while i < fast:
+                for k, c in enumerate(slow[i]):
+                    acc[k] = (acc[k] + c) % pd
+                digits[i] += 1
+                if digits[i] < radices[i]:
+                    break
+                digits[i] = 0
+                i += 1
+            else:
                 break
-            digits[i] = 0
-            i += 1
-        else:
-            return
+
+
+# bytes.translate's identity table. For residues x < pd <= 256, the table
+# with its first pd entries rotated left by s maps x to (x + s) % pd.
+_IDENTITY = bytes(range(256))
+
+
+def _shift(col, s: int, pd: int):
+    """(x + s) % pd for each residue x of col, in one C-level pass: a bytes
+    column (pd <= 256) is translated, a list column is mapped lazily."""
+    if type(col) is bytes:
+        return col.translate(_IDENTITY[s:pd] + _IDENTITY[:s] + _IDENTITY[pd:])
+    return map(pd.__rmod__, map(s.__add__, col))
 
 
 def null_count_exponent(n: int, p: int, d: int) -> int:

@@ -19,12 +19,14 @@ tests/test_modulus.py and tests/test_acceptance.py hold to Kempner's mu.
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from functools import lru_cache
-from math import gcd
+from math import gcd, lgamma, log
 from operator import add
 
 from . import construct
+from .counting import _POWER_BITS
 from .polys import Polynomial, product
 from .primes import prime_factorization as factor
 
@@ -109,5 +111,13 @@ def kempner_basis(m: int) -> Polynomial:
     Null because its value at any x is mu! * C(x, mu), and minimal because a
     monic f = sum (m a_k / k!) x(x-1)...(x-k+1) forces m | n! at the top.
     For a prime p it is x(x-1)...(x-(p-1)), the tower's level 1.
+
+    Its coefficient magnitudes sum to mu!, which bounds the largest; a basis
+    whose mu! has over _POWER_BITS bits, by lgamma, is refused before any
+    factor is built (mu is clamped to sys.maxsize to convert to a float).
     """
-    return product(Polynomial((-i, 1)) for i in range(kempner_mu(m)))
+    mu = kempner_mu(m)
+    if lgamma(min(mu, sys.maxsize) + 1) / log(2) > _POWER_BITS:
+        raise ValueError(f"kempner basis mod {m} has coefficient magnitudes summing to {mu}!, "
+                         f"over the {_POWER_BITS}-bit limit")
+    return product(Polynomial((-i, 1)) for i in range(mu))

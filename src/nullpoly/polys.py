@@ -4,6 +4,8 @@ A polynomial is a record whose one field is its tuple of arbitrary-precision
 integer coefficients, ascending by degree. The zero polynomial is the empty
 tuple and reports degree ``None`` (a nonzero constant has degree 0, which is
 a different thing and must stay distinguishable for the counting code).
+__init__ trims trailing zeros; from_trimmed makes records in bulk from
+tuples that have none, for the enumerator.
 
 A product with an int or a one-term polynomial scales the other factor
 coefficient by coefficient. Every other product of two polynomials is one
@@ -57,8 +59,10 @@ from __future__ import annotations
 import re
 import struct
 import sys
+from collections import deque
 from collections.abc import Iterable
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from operator import add, neg, sub
 
 from ._record import Record
@@ -159,8 +163,22 @@ class Polynomial(Record):
         return format_human(self)
 
 
-# Writes the slot past the raising __setattr__; only __init__ uses it.
+# Writes the slot past the raising __setattr__; only __init__ and
+# from_trimmed use it.
 _set_coeffs = Polynomial.coeffs.__set__
+
+
+def from_trimmed(coeffs: list[tuple[int, ...]]) -> list[Polynomial]:
+    """One Polynomial per tuple, each tuple already free of trailing zeros.
+
+    Skips __init__'s copy and trim: object.__new__ and _set_coeffs are each
+    mapped over the whole list, so no interpreted step runs per polynomial.
+    A tuple that ends in 0 would make a record unequal to Polynomial(t).
+    """
+    out = list(map(object.__new__, repeat(Polynomial, len(coeffs))))
+    deque(map(_set_coeffs, out, coeffs), 0)
+    return out
+
 
 # _kronecker multiplies by the decimal module once the product packs into
 # this many decimal digits, and by CPython's Karatsuba ints below it. On

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +263,62 @@ def test_enumerated_polynomials_are_null_and_reduced():
             dm = reduce_coeffs(f, m).degree
             assert dm is None or dm <= n
             assert is_null_eval(f, m)
+
+
+def _assert_well_formed(f: Polynomial, m: int) -> None:
+    # the record enumerate_null builds without __init__ is the one
+    # __init__ would build: same type, trimmed, equal with an equal hash
+    assert type(f) is Polynomial
+    assert not f.coeffs or f.coeffs[-1] != 0
+    assert f == Polynomial(f.coeffs) and hash(f) == hash(Polynomial(f.coeffs))
+    assert all(0 <= c < m for c in f.coeffs)
+
+
+def test_enumerated_outputs_are_well_formed_records():
+    # 7^3 and 2^9 exceed 256, past CPython's cached small ints; the last
+    # two have 7^4 = 2401 and 2^12 = 4096 outputs
+    for p, d, n in [(2, 3, 6), (3, 2, 7), (7, 3, 10), (2, 9, 6)]:
+        polys = list(enumerate_null(p, d, n))
+        assert len(polys) == len(set(polys)) == count_null_le(n, p, d).value
+        for f in polys:
+            _assert_well_formed(f, p ** d)
+
+
+def test_enumerate_group_of_several_blocks():
+    # (2, 4, 7): the top row's group holds 61440 outputs of 8 coefficients,
+    # made as 32 blocks of 1920 outputs under _BLOCK_CELLS = 2**14 cells
+    polys = list(enumerate_null(2, 4, 7))
+    assert len(polys) == count_null_le(7, 2, 4).value == 65536
+    got = set(polys)
+    assert len(got) == len(polys)
+    assert got == paper_null_set(2, 4, 7)
+    for f in random.Random(7).sample(polys, 500):
+        _assert_well_formed(f, 16)
+
+
+def test_enumerate_wide_row():
+    # one row, x^1009 - x mod 1009, 1010 coefficients wide and radix 1009:
+    # its 1008 nonzero digit values come in chunks of 16 outputs
+    p = 1009
+    want = {Polynomial(()) if c == 0 else Polynomial((0, p - c) + (0,) * (p - 2) + (c,))
+            for c in range(p)}
+    got = list(enumerate_null(p, 1, p))
+    assert len(got) == p and set(got) == want
+
+
+def test_enumerate_is_lazy_in_memory():
+    # one output at a time, (2, 3, 8) must not hold a whole group of about
+    # 65536 outputs (over 8 MB) between yields
+    outputs = enumerate_null(2, 3, 8)
+    next(outputs)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in outputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 131071
+    assert peak < 2_000_000, peak
 
 
 def test_count_input_validation():

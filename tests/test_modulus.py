@@ -203,6 +203,15 @@ def test_least_monic_null_composite_matches_brute_sets():
         assert kempner_basis(m).degree == least
 
 
+def test_kempner_basis_refuses_a_basis_too_large_to_build():
+    # mu(10**12 + 39) = 10**12 + 39: mu! has about 4 * 10**13 bits, refused
+    # by lgamma before one factor of the product is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bit limit"):
+        kempner_basis(10 ** 12 + 39)
+    assert time.perf_counter() - start < 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 10 ** 6 - 1))
 def test_prime_factorization_matches_trial_division(m):
