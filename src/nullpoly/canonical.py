@@ -1,58 +1,17 @@
 """Degree reduction and a complete invariant for function equality mod m.
 
 With f = sum_k b_k * x(x-1)...(x-k+1), every term with k >= mu(m) is null
-(m | k!) and a multiple of x(x-1)...(x-mu+1). So the truncation at k < mu
-is equivalent to f, and is its remainder by that basis mod m; and the
-Newton coordinates a_k = k! * b_k mod m, k < mu, are a complete invariant.
-(Monomial coefficients of the remainder are not: p * x(x-1)...(x-p+1) is a
-null polynomial mod p**2 of degree below mu.)
-
-reduce_degree mod a composite m computes that remainder by exact long
-division. mu is the first k with k! ≡ 0 (mod m), scanned for k <= deg f,
-so m is never factored; a scan that ends without one leaves deg f < mu, and
-f's residues are the answer. Otherwise f is divided by the basis mod m,
-x**mu ≡ sum_j tail_j * x**j, in O((deg f - mu) * mu) slot-words on one
-packed window (polys._rem_monic). _kempner_tail keeps the tail per modulus
-in a bounded lru_cache, and builds it by a product tree of the linear
-factors reduced mod m at every node, so no coefficient grows to the size
-of mu! as it would over Z.
-
-A prime m = p is answered from the fold of f by x**p - x (oracle._fold).
-By Lagrange, the fold is the only polynomial of degree < p with f's
-function mod p, so it is the reduced polynomial, and it is the remainder
-by x(x-1)...(x-p+1) as well, because that product is ≡ x**p - x (mod p).
-The canonical form reads a_k, k < p, off the fold of length n. A short
-fold goes through the O(n**2) transform; a long one, with
-n**2 > _VALUES_CROSSOVER * s * p (s from 1 to 6 with p's bit length),
-through its values on F_p, in O(p) steps and two integer products
-(polys._kronecker):
-- f(0) is c_0, and f(g**i), i < p - 1, for a primitive root g, is one
-  product by Bluestein's chirp, ik = T(i+k) - T(i) - T(k) with
-  T(t) = t(t-1)/2 (Bluestein 1970);
-- a_k = sum_{j<=k} C(k, j) (-1)**(k-j) f(j) is k! times the coefficient of
-  x**k in (sum_j f(j) x**j / j!) * e**(-x), a second product, since every
-  k! with k < p is a unit mod p.
-Everything the values path derives from p alone (the chirp and its
-inverse, the discrete logs, the factorials and the e**(-x) row) is built
-once per prime by _values_tables, in a bounded lru_cache; a call makes
-C-level map passes over them around its two products.
-
-The canonical form mod a composite m is the paper's first reduction: a_k
-mod m is fixed by a_k mod each prime power p**d of m (CRT), and a_k ≡ 0
-(mod p**d) from k = mu(p**d) on. So the form mod m is the coordinatewise
-CRT of the forms mod each p**d, padded with zeros to mu(m)
-(modulus.crt_sum). modulus.crt_plan keeps mu(m), the parts and their CRT
-weights per modulus in a bounded lru_cache, so a repeated m is factored
-once. A part with d = 1 is read off the fold, as for a prime. A part q =
-p**d with d >= 2 takes the transform mod q of f's remainder by the basis
-mod q, of degree mu(q) from the plan, by the same division and cached tail
-as reduce_degree; so the transform runs on at most mu(q) coefficients,
-however long f is. Both functions thus take one of two remainders: the
-fold mod a prime, and polys._rem_monic by the basis mod any other modulus.
-Below mu(m) = _SPLIT_MIN_MU the parts cost more than
-they save, and the form is one transform mod m, with mu(m) from the same
-plan.
-reduce_degree and is_null_binomial never factor m.
+(m | k!) and a multiple of x(x-1)...(x-mu+1). So f is equivalent to its
+remainder by that basis mod m, and the Newton coordinates
+a_k = k! * b_k mod m, k < mu, are a complete invariant. (Monomial
+coefficients of the remainder are not: p * x(x-1)...(x-p+1) is a null
+polynomial mod p**2 of degree below mu.) By question:
+- an equivalent polynomial of degree < mu(m): reduce_degree, which never
+  factors m;
+- the complete invariant: canonical_form, from modulus.crt_plan(m), each
+  prime power's coordinates by _part_coords;
+- do f and g induce the same function mod m: equivalent, by
+  oracle.is_null_binomial, which never factors m.
 """
 from __future__ import annotations
 
@@ -90,9 +49,9 @@ from .primes import is_prime, prime_factorization
 # win (r <= p).
 _VALUES_CROSSOVER = 20
 
-# Mod a composite m, canonical_form combines the forms mod m's prime powers
-# from this mu(m) on, and takes one transform mod m below it. Median time of
-# the split over one transform, on up to six composite m < 3000 a mu, f of
+# Mod m of two or more prime powers, canonical_form combines the forms mod
+# them from this mu(m) on, and takes one transform mod m below it. Median
+# time of the split over one transform, on up to six such m < 3000 a mu, f of
 # n = 1.5 * mu and 4 * mu random coefficients (same host as above):
 #   mu        | 8    | 12   | 15   | 17   | 20   | 21   | 22   | 26   | 29   | 34
 #   1.5 * mu  | 2.23 | 1.48 | 1.60 | 1.53 | 1.38 | 1.17 | 1.23 | 0.89 | 1.02 | 0.83
@@ -156,8 +115,16 @@ def _values_tables(p: int) -> tuple[tuple[int, ...], ...]:
 
 def _newton_coords_by_values(c: list[int], p: int) -> list[int]:
     """a_k mod p, k < p, of sum_k c[k] * x**k with c nonempty residues mod
-    the prime p and len(c) <= p, from its values on F_p: Bluestein's chirp,
-    then the exponential generating function product (module docstring)."""
+    the prime p and len(c) <= p, from its values on F_p, in O(p) steps and
+    two integer products (polys._kronecker):
+    - f(0) is c_0, and f(g**i), i < p - 1, for a primitive root g, is one
+      product by Bluestein's chirp, ik = T(i+k) - T(i) - T(k) with
+      T(t) = t(t-1)/2 (Bluestein 1970);
+    - a_k = sum_{j<=k} C(k, j) (-1)**(k-j) f(j) is k! times the coefficient
+      of x**k in (sum_j f(j) x**j / j!) * e**(-x), a second product, since
+      every k! with k < p is a unit mod p.
+    What derives from p alone comes from the cached _values_tables(p); a
+    call makes C-level map passes over them around its two products."""
     chirp, chirp_inv, logs, scale, e_minus, fact = _values_tables(p)
     mod = p.__rmod__  # mod(v) == v % p
     n = min(len(c), p - 1)
@@ -196,11 +163,17 @@ def _kempner_tail(m: int, mu: int) -> tuple[int, ...]:
 
 def reduce_degree(f: Polynomial, m: int) -> Polynomial:
     """Equivalent polynomial of degree < mu(m), coefficients in [0, m): the
-    remainder of f by x(x-1)...(x-mu+1) mod m. For a prime m this is the
-    fold of f by x**m - x, by Lagrange the only polynomial of degree < m
-    with f's function, in O(deg), with no factorization and no transform.
-    For a composite m it is long division by the cached basis mod m, with
-    mu found by the k! scan, which stops at k = deg f (module docstring)."""
+    remainder of f by x(x-1)...(x-mu+1) mod m, found without factoring m.
+
+    For a prime m it is the fold of f by x**m - x (oracle._fold), in O(deg)
+    with no transform: by Lagrange the only polynomial of degree < m with
+    f's function, and the remainder by the basis, which is ≡ x**m - x
+    (mod m). Otherwise mu is the first k with k! ≡ 0 (mod m), scanned for
+    k <= deg f; a scan that ends without one leaves deg f < mu, and f's
+    residues are the answer. Else f is divided exactly by the basis mod m,
+    x**mu ≡ sum_j tail_j * x**j (_kempner_tail, cached per modulus), in
+    O((deg f - mu) * mu) slot-words on one packed window
+    (polys._rem_monic)."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if is_prime(m):
@@ -215,12 +188,15 @@ def reduce_degree(f: Polynomial, m: int) -> Polynomial:
 
 
 def _part_coords(coeffs, p: int, d: int, q: int, mu: int) -> list[int]:
-    """a_k mod q = p**d of sum_i coeffs[i] * x**i, k < mu = mu(q) at most.
-    For d = 1 they are read off the fold of length n <= p: by the transform
-    (n of them), or from the fold's values on F_p (p of them) when
-    n**2 > _VALUES_CROSSOVER * s * p, s rising with p's bit length (see the
-    constant). For d >= 2 they are the transform mod q of f's remainder by
-    the basis mod q, whose tail is read only when f is longer than mu."""
+    """a_k mod q = p**d of sum_i coeffs[i] * x**i, k < mu = mu(q) at most,
+    for a part (p, d, q, mu) of modulus.crt_plan. For d = 1 they are read
+    off the fold of length n <= p (oracle._fold): by the transform (n of
+    them), or from the fold's values on F_p (_newton_coords_by_values, p of
+    them) when n**2 > _VALUES_CROSSOVER * s * p, s rising with p's bit
+    length (see the constant). For d >= 2 they are the transform mod q of
+    f's remainder by the basis mod q, whose tail, shared with
+    reduce_degree, is read only when f is longer than mu: so the transform
+    runs on at most mu coefficients, however long f is."""
     if d == 1:
         c = _fold(coeffs, p)
         if len(c) ** 2 > _VALUES_CROSSOVER * min(max(p.bit_length() - 9, 1), 6) * p:
@@ -232,21 +208,24 @@ def _part_coords(coeffs, p: int, d: int, q: int, mu: int) -> list[int]:
 
 
 def canonical_form(f: Polynomial, m: int) -> CanonicalForm:
-    """Newton coordinates a_k mod m, k < mu(m). For a prime m they are
-    read off the fold of f by x**m - x (_part_coords). For a composite m
-    they are the CRT of the coordinates mod each prime power p**d of m
-    (_part_coords), unless mu(m) < _SPLIT_MIN_MU; then they are one
-    transform mod m (module docstring)."""
+    """Newton coordinates a_k mod m, k < mu(m), padded with zeros to mu(m),
+    from the cached modulus.crt_plan(m), so a repeated m is factored once.
+
+    A prime or a prime power is one part, whose coordinates are the form
+    (_part_coords). Mod m of two or more prime powers p**d, a_k mod m is
+    fixed by a_k mod each p**d (CRT, the paper's first reduction), and
+    a_k ≡ 0 (mod p**d) from k = mu(p**d) on: the form is the coordinatewise
+    CRT of the parts' coordinates (modulus.crt_sum), unless
+    mu(m) < _SPLIT_MIN_MU; then it is one transform mod m."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    if is_prime(m):
-        a, mu = _part_coords(f.coeffs, m, 1, m, m), m
+    mu, parts, weights = crt_plan(m)
+    if len(parts) == 1:
+        a = _part_coords(f.coeffs, *parts[0])
+    elif mu < _SPLIT_MIN_MU:
+        a = list(_newton_coords(f.coeffs, m))
     else:
-        mu, parts, weights = crt_plan(m)
-        if mu < _SPLIT_MIN_MU:
-            a = list(_newton_coords(f.coeffs, m))
-        else:
-            a = crt_sum([_part_coords(f.coeffs, *part) for part in parts], weights, m)
+        a = crt_sum([_part_coords(f.coeffs, *part) for part in parts], weights, m)
     a += [0] * (mu - len(a))
     return CanonicalForm(m, tuple(a))
 

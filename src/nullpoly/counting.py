@@ -78,14 +78,13 @@ def _check_args(n: int, p: int, d: int) -> None:
         raise ValueError("degree bound must be >= 0")
 
 
-def _rows(p: int, d: int, n: int) -> tuple[list[list[int]], list[int]]:
-    """The box's digits, by k upward: for each k <= n with
-    g_k = gcd(p**d, k!) = p**e_k > 1, the radix g_k and the row
+def _rows(p: int, d: int, n: int) -> Iterator[tuple[list[int], int]]:
+    """The box's digits, by k upward, each made when it is reached: for each
+    k <= n with g_k = gcd(p**d, k!) = p**e_k > 1, the row
     (p**d // g_k) * x(x-1)...(x-k+1) mod p**d, k + 1 coefficients with top
-    p**d // g_k. One running quantity gives both: g_k = gcd(p**d, g_{k-1} * k)."""
+    p**d // g_k, and its radix g_k. One running quantity gives both:
+    g_k = gcd(p**d, g_{k-1} * k)."""
     pd = p ** d
-    rows: list[list[int]] = []
-    radices: list[int] = []
     falling = [1]  # x(x-1)...(x-k+1) mod p**d, ascending
     g = 1
     for k in range(1, n + 1):
@@ -94,9 +93,7 @@ def _rows(p: int, d: int, n: int) -> tuple[list[list[int]], list[int]]:
         if g > 1:
             # c * scale % pd, without dividing a 2d-bit product: pd = g * scale
             scale = pd // g
-            rows.append([c % g * scale for c in falling])
-            radices.append(g)
-    return rows, radices
+            yield [c % g * scale for c in falling], g
 
 
 def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
@@ -105,7 +102,8 @@ def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
     The zero polynomial comes first, then group j for each row j of _rows,
     lowest first: the sums whose highest nonzero digit is row j's. Every
     output of group j has deg(row j) + 1 coefficients and a nonzero top one,
-    p**d // g_j times the digit, so none needs trimming. A group is made in
+    p**d // g_j times the digit, so none needs trimming. Group j reads rows
+    0..j alone, so each row is made when its group is reached. A group is made in
     blocks of at most _BLOCK_CELLS coefficients, one column per degree
     (_blocks); records come from the columns' tuples through
     polys.from_trimmed, so per output no interpreted step runs.
@@ -117,8 +115,11 @@ def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
     """
     _check_args(n, p, d)
     yield Polynomial(())
-    rows, radices = _rows(p, d, n)
-    for j in range(len(rows)):
+    rows: list[list[int]] = []
+    radices: list[int] = []
+    for j, (row, radix) in enumerate(_rows(p, d, n)):
+        rows.append(row)
+        radices.append(radix)
         for columns in _blocks(rows, radices, j, p ** d):
             yield from from_trimmed(list(zip(*columns)))
 

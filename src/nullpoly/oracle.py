@@ -1,28 +1,14 @@
-"""Null-ness and null order, read off one falling-factorial transform.
+"""Null-ness and null order mod m, read off the Newton coordinates.
 
-Write f = sum_k b_k * x(x-1)...(x-k+1); a_k = k! * b_k is the k-th Newton
-coordinate (forward difference at 0). f is null mod m iff every
-a_k ≡ 0 (mod m) (Singmaster 1974): a term's values are a_k * C(x, k), and
-a_k is a Z-combination of f(0..k). From the first k with k! ≡ 0 (mod m),
-k = mu(m), every a_k ≡ 0, so a scan stops there without factoring m.
-_falling_coords gives k! and b_k mod m, with no evaluations, and stops
-there by itself; its docstring describes its two steps, synthetic division
-and Horner's rule on the falling basis in blocks, the latter about 1.4-1.5
-times as fast on the least monic null polynomials mod 5**200 and 7**148.
-A prime m needs no transform for nullity. _fold folds f by x**m - x, the
-paper's null polynomial: every x**k with k >= m goes onto x**(k-m+1),
-leaving degree < m, and f and its fold are the same function mod m. By
-Lagrange, a polynomial of degree < m over F_m is the only one of that
-degree with its function, so f is null mod m iff its fold is 0: O(deg).
-Every entry point decides the prime case itself and folds before any
-transform: is_null_binomial, and null_order through it when the answer
-can only be 0 or 1; canonical.canonical_form folds too, so
-_falling_coords never sees a prime modulus with a long f.
-The top coordinate a_n = n! * c_n of f of degree n is never 0, so f is
-null mod no power of p above v_p(n!) + v_p(c_n): null_order works mod no
-larger power.
-null_witness, the independent check, evaluates f on the complete window
-x < min(mu(m), deg f + 1), and stops where _falling_coords does.
+f = sum_k b_k * x(x-1)...(x-k+1) is null mod m iff m divides every Newton
+coordinate a_k = k! * b_k (Singmaster 1974). By question:
+- is f null mod m: is_null_binomial, by _fold for a prime m and by
+  _newton_coords for any other;
+- the largest d <= d_max with f null mod p**d: null_order;
+- the least x with f(x) not ≡ 0 (mod m): null_witness, by evaluation, the
+  independent check;
+- the coordinates a_k mod m themselves: _newton_coords, which
+  canonical.canonical_form shares.
 """
 from __future__ import annotations
 
@@ -53,7 +39,7 @@ def _fold(coeffs: Sequence[int], p: int) -> list[int]:
     return [coeffs[0] % p, *map(p.__rmod__, acc)]
 
 
-# _falling_coords leaves synthetic division for its blocks once m has at
+# _newton_coords leaves synthetic division for its blocks once m has at
 # least _HORNER_MIN_BITS bits and f at least _HORNER_MIN_TERMS coefficients.
 # Measured (Python 3.11, 2-core x86-64) on random f mod primes, every
 # coordinate taken: at 400 coefficients division wins while m fits one
@@ -77,12 +63,13 @@ _HORNER_BLOCK = 64
 _HORNER_REDUCE = 16
 
 
-def _falling_coords(coeffs: Sequence[int], m: int) -> Iterator[tuple[int, int]]:
-    """Yield (k! mod m, b_k mod m), where
+def _newton_coords(coeffs: Sequence[int], m: int) -> Iterator[int]:
+    """Yield a_k = k! * b_k mod m, where
     sum_i coeffs[i] * x**i = sum_k b_k * x(x-1)...(x-k+1), for k < len(coeffs),
     ending at the first k with k! ≡ 0 (mod m), k = mu(m): from there every
-    term is null, and the end is found without factoring m. Callers with a
-    prime m fold f first (module docstring).
+    a_k is 0, and the end is found without factoring m. No evaluation is
+    made. Callers with a prime m fold f first (is_null_binomial,
+    canonical._part_coords), so a prime m never meets a long f here.
 
     One list q carries f's residues mod m, top coefficient first, through
     two steps, each O(deg * min(deg, mu)) multiply-adds.
@@ -120,7 +107,7 @@ def _falling_coords(coeffs: Sequence[int], m: int) -> Iterator[tuple[int, int]]:
         acc = 0
         for i in range(len(q)):
             q[i] = acc = (q[i] + k * acc) % m
-        yield fact, q.pop()
+        yield fact * q.pop() % m
         k += 1
         fact = fact * k % m
     mod = m.__rmod__  # mod(v) == v % m
@@ -139,18 +126,12 @@ def _falling_coords(coeffs: Sequence[int], m: int) -> Iterator[tuple[int, int]]:
             if not t % _HORNER_REDUCE:
                 block = list(map(mod, block))
         q = list(map(mod, tops))
-        for b in map(mod, block):
-            yield fact, b
+        for b in block:
+            yield fact * b % m
             k += 1
             fact = fact * k % m
             if not fact:
                 return
-
-
-def _newton_coords(coeffs: Sequence[int], m: int) -> Iterator[int]:
-    """Yield a_k = k! * b_k mod m for k < min(deg + 1, mu(m)); past mu(m)
-    every a_k is 0."""
-    return (fact * b % m for fact, b in _falling_coords(coeffs, m))
 
 
 def is_null_binomial(f: Polynomial, m: int) -> bool:

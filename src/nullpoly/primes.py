@@ -8,9 +8,10 @@ second-largest prime factor. Rho gets _RHO_BUDGET steps per split; a
 composite it cannot split within them is refused with a ValueError, so a
 product of two primes much above 10**12 is refused in seconds instead of
 being searched for hours.
-is_prime is Miller-Rabin with the first thirteen primes (2..41) as
-witnesses, a proof of primality below 3.3e24 (Sorenson & Webster 2017) and
-a strong probable-prime test above. Twelve witnesses would not do: the
+is_prime trial-divides by the first thirteen primes (2..41), which decides
+every n below 43**2, and is then Miller-Rabin with them as witnesses, a
+proof of primality below 3.3e24 (Sorenson & Webster 2017) and a strong
+probable-prime test above. Twelve witnesses would not do: the
 strong pseudoprime 318665857834031151167461 = 399165290221 * 798330580441
 passes every prime base up to 37.
 """
@@ -39,6 +40,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # a composite below has a prime factor of at most 41
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:

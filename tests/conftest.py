@@ -234,7 +234,7 @@ def falling_coords_by_division(coeffs, m: int):
     """(k! mod m, b_k mod m) for k < min(len(coeffs), mu(m)), where
     sum_i coeffs[i] * x**i = sum_k b_k * x(x-1)...(x-k+1): synthetic
     division by x - k at every step k, whatever the sizes of m and f (the
-    loop oracle._falling_coords keeps below its thresholds)."""
+    loop oracle._newton_coords keeps below its thresholds)."""
     c = [a % m for a in coeffs]
     fact = 1 % m
     for k in range(len(c)):
@@ -248,22 +248,26 @@ def falling_coords_by_division(coeffs, m: int):
         fact = fact * (k + 1) % m
 
 
-def newton_coefficients(f: Polynomial, count: int | None = None) -> tuple[int, ...]:
+def newton_coefficients(f: Polynomial, count: int | None = None, m: int | None = None) -> tuple[int, ...]:
     """Exact coordinates of f in the binomial basis: f = sum a[k]*C(x,k).
 
     a[k] is the k-th forward difference of f at 0, always an integer for an
     integer polynomial; length is deg(f)+1 (empty for the zero polynomial),
     or min(count, deg(f)+1) with a count, since a[k] needs only the values
-    f(0), ..., f(k).
+    f(0), ..., f(k). With a modulus m, every value and difference is
+    reduced mod m, which gives a[k] mod m without the exact values of a
+    long f.
     """
     if not f:
         return ()
     n = f.degree + 1 if count is None else min(count, f.degree + 1)
-    values = [f(x) for x in range(n)]
+    values = [f(x) for x in range(n)] if m is None else [f.eval_mod(x, m) for x in range(n)]
     out = []
     for _ in range(n):
         out.append(values[0])
         values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
+        if m is not None:
+            values = [v % m for v in values]
     return tuple(out)
 
 

@@ -329,10 +329,11 @@ def test_reduce_degree_after_the_fold_is_the_basis_remainder(case):
     assert reduce_degree(f, p) == divmod_monic(f, kempner_basis(p), p)[1]
 
 
-# Composite moduli for the split into prime powers, mu(m) in the comments:
+# Composite moduli for canonical_form's plan, mu(m) in the comments:
 # semiprimes, prime powers p**d with d >= 2, three or more parts, and m on
-# both sides of _SPLIT_MIN_MU. 2**20 * 3**5 is split, like every m with
-# mu(m) >= _SPLIT_MIN_MU.
+# both sides of _SPLIT_MIN_MU. A prime power is its one part whatever its
+# mu; m of two or more prime powers is split from mu(m) = _SPLIT_MIN_MU on
+# (2**20 * 3**5 among them) and one transform mod m below it.
 SPLIT_MODULI = (
     86, 106, 141, 371, 2 * 97, 3 * 89,           # k * q: 43, 53, 47, 53, 97, 89
     121, 169, 343, 625, 5 ** 5, 7 ** 4,          # p**d: 22, 26, 21, 20, 25, 28
@@ -363,16 +364,17 @@ def test_canonical_form_mod_a_composite_is_the_newton_oracle(m, data):
     assert canonical_form(f, m) == CanonicalForm(m, tuple(a + [0] * (mu - len(a))))
 
 
-@pytest.mark.parametrize("m", [2 ** 30, 3 ** 20, 5 ** 9, 101 ** 2, 2 ** 20 * 3 ** 5])
+@pytest.mark.parametrize("m", [2 ** 30, 3 ** 20, 5 ** 9, 101 ** 2, 2 ** 20 * 3 ** 5, 8, 49, 125, 457])
 def test_long_forms_mod_prime_power_parts_are_the_newton_oracle(m):
     # f far past mu: each part p**d, d >= 2, is divided by the basis mod p**d
-    # before its transform; the oracle is the exact forward differences of f
-    # at 0, ..., mu - 1, reduced mod m
+    # before its transform, and a prime's is folded; a prime or a prime power
+    # below _SPLIT_MIN_MU (8, 49, 125) is its one part too. The oracle is the
+    # exact forward differences of f at 0, ..., mu - 1, reduced mod m
     mu = kempner_mu_scan(m)
     rng = random.Random(m)
     for n in (mu - 1, mu, mu + 1, 3 * mu, 20 * mu):
         f = Polynomial([rng.randrange(-10 ** 30, 10 ** 30) for _ in range(n)] + [1])
-        a = [c % m for c in newton_coefficients(f, mu)]
+        a = list(newton_coefficients(f, mu, m))
         assert canonical_form(f, m) == CanonicalForm(m, tuple(a + [0] * (mu - len(a)))), n
 
 
@@ -418,7 +420,7 @@ def test_a_repeated_modulus_is_factored_once(monkeypatch):
 
     monkeypatch.setattr(modulus, "factor", counting_factor)
     f = Polynomial(range(1, 80))
-    for m in (371, 12, 121):  # split, one transform, one part
+    for m in (371, 12, 121, 457):  # split, one transform, one part, a prime
         crt_plan.cache_clear()
         calls.clear()
         first = canonical_form(f, m)

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -304,6 +305,18 @@ def test_enumerate_wide_row():
             for c in range(p)}
     got = list(enumerate_null(p, 1, p))
     assert len(got) == p and set(got) == want
+
+
+def test_enumerate_builds_each_row_when_reached():
+    # the first group, c * (x^2 - x) mod 2, needs only the row of degree 2:
+    # building all 2999 rows mod 2 up to degree 3000 first took 0.56-0.82 s
+    outputs = enumerate_null(2, 1, 3000)
+    next(outputs)
+    start = time.perf_counter()
+    second = next(outputs)
+    assert time.perf_counter() - start < 0.05
+    assert second == Polynomial((0, 1, 1))
+    assert set(enumerate_null(3, 2, 7)) == paper_null_set(3, 2, 7)
 
 
 def test_enumerate_is_lazy_in_memory():

@@ -31,11 +31,14 @@ from nullpoly.primes import _RHO_BUDGET, is_prime, prime_factorization
 
 
 def test_is_prime():
-    def slow(n):
-        return n >= 2 and all(n % k for k in range(2, n))
-
-    for n in range(-3, 300):
-        assert is_prime(n) == slow(n)
+    # a sieve of Eratosthenes below 20000, across 43**2 = 1849, below which
+    # trial division by the primes up to 41 decides alone
+    sieve = [False, False] + [True] * 19998
+    for k in range(2, 142):
+        if sieve[k]:
+            sieve[k * k::k] = [False] * len(range(k * k, 20000, k))
+    for n in range(-3, 20000):
+        assert is_prime(n) == (n >= 0 and sieve[n]), n
     for n in (2 ** 31 - 1, 10 ** 9 + 7):
         assert is_prime(n)
     for n in (2 ** 31, 10 ** 9 + 8, 561, 49):

@@ -174,7 +174,7 @@ def _mostly_null(draw, moduli, max_degree, min_degree=0):
     return from_falling(b), m
 
 
-# Moduli of 34 to 401 bits, where _falling_coords runs its Horner tail on
+# Moduli of 34 to 401 bits, where _newton_coords runs its Horner tail on
 # f of 128 coefficients or more: prime powers and composites, mu(m) from
 # 36 (2 ** 33) to 404 (2 ** 400).
 MULTI_WORD = (2 ** 33, 2 ** 100, 3 ** 60, 5 ** 40, 2 ** 40 * 3 ** 30 * 7, 7 ** 30 * 11, 2 ** 400)
@@ -209,7 +209,7 @@ def _coords_case(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(_coords_case(), st.sampled_from([None, (3, 0), (3, 1), (3, 16), (1, 8), (64, 1)]), st.sampled_from([1, 16]))
-def test_falling_coords_match_synthetic_division(case, constants, reduce_every):
+def test_newton_coords_match_synthetic_division(case, constants, reduce_every):
     # with no patch the module's thresholds pick the path; else every
     # modulus and length takes the Horner tail, with blocks of 3 (1, 64)
     # after 0, 1, 16 (8, 1) division passes, so every block and hand-over
@@ -223,7 +223,7 @@ def test_falling_coords_match_synthetic_division(case, constants, reduce_every):
             mp.setattr(oracle, "_HORNER_BLOCK", block)
             mp.setattr(oracle, "_DIVISION_PASSES", passes)
             mp.setattr(oracle, "_HORNER_REDUCE", reduce_every)
-        assert list(oracle._falling_coords(coeffs, m)) == list(falling_coords_by_division(coeffs, m))
+        assert list(oracle._newton_coords(coeffs, m)) == [f * b % m for f, b in falling_coords_by_division(coeffs, m)]
 
 
 def test_falling_coords_stop_after_one_block_past_the_first_nonzero():
