@@ -93,9 +93,9 @@ def least_monic_null(p: int, d: int) -> Polynomial:
     of degree omega1_prime_power(p, d) = mu(p**d). A degree that no
     coefficient list can hold is refused before any tower level is built.
     """
-    omega1 = omega1_prime_power(p, d)
-    check_degree(omega1)
     digits = digit_vector(p, d)
+    omega1 = _degree(p, digits)
+    check_degree(omega1)
     tower = build_tower(p, len(digits))
     h = product(level ** e for level, e in zip(tower, digits) if e)
     if h.coeffs[-1] != 1 or h.degree != omega1:
@@ -105,4 +105,9 @@ def least_monic_null(p: int, d: int) -> Polynomial:
 
 def omega1_prime_power(p: int, d: int) -> int:
     """Least degree of a monic null polynomial mod p**d: sum e_i * p**i."""
-    return sum(e * p ** (i + 1) for i, e in enumerate(digit_vector(p, d)))
+    return _degree(p, digit_vector(p, d))
+
+
+def _degree(p: int, digits: tuple[int, ...]) -> int:
+    """The degree sum e_i * p**i of the tower product with digits e_i."""
+    return sum(e * p ** (i + 1) for i, e in enumerate(digits))

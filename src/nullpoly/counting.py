@@ -30,12 +30,15 @@ in O(log_p n):
                         p**E(omega1 - 1) * (p**A - 1) / (p**d - 1),
                         A = d * (n - omega1 + 1).
 
-Each trace is the modulus, omega1, the formula's rows, then the count.
-A count or factor from _DISPLAY_LIMIT on is shown as its formula (p^E,
-(p^A-1)/(p^d-1) or p^E*(p^A-1)/(p^d-1)), never as its digits; the CLI
-prints that last row as its answer. A count that needs a power of p of
-more than _POWER_BITS bits (p**E(n), or p**(E + A) for count_monic_le) is
-refused before anything is built.
+A CountResult holds that formula's integers, not the count: its value
+is built from them on each read, and no function here reads it. Each trace
+is the modulus, omega1, the formula's rows, then the count. A count or
+factor from _DISPLAY_LIMIT on is shown as its formula (p^E, (p^A-1)/(p^d-1)
+or p^E*(p^A-1)/(p^d-1)), decided from its exponent, so its digits are never
+built; the CLI prints that last row as its answer. A count whose value would
+need a power of p of more than _POWER_BITS bits (p**E(n), or p**(E + A) for
+count_monic_le) is refused when it is counted, so no read of value builds
+more than that.
 
 The paper's own route to both answers, a sum of layers p**(d-j) * B_j * q_j
 over the least monic null polynomials B_j mod p**j (its enumeration
@@ -53,8 +56,11 @@ from .polys import Polynomial, from_trimmed
 from .primes import require_prime
 
 # Counts and factors from this value on are shown as their formula, so no
-# trace or CLI line converts an integer of thousands of digits to decimal.
+# trace or CLI line builds an integer of thousands of digits or prints it.
 _DISPLAY_LIMIT = 10 ** 40
+# 133: a number of at least p**e is shown as its formula, unbuilt, once p**e
+# has this many bits, for 10**40 < 2**133.
+_DISPLAY_BITS = _DISPLAY_LIMIT.bit_length()
 # The most bits of a power of p a count builds; 3**5292497 takes over 1 s.
 _POWER_BITS = 2 ** 23
 # The most coefficients enumerate_null holds in one block of outputs, so that
@@ -63,11 +69,34 @@ _POWER_BITS = 2 ** 23
 _BLOCK_CELLS = 2 ** 14
 
 
-class CountResult(Record):
-    """A count: its value, p_exponent E when the value is exactly p**E
-    (else None), and its trace of (tag, value) rows."""
+def _evaluate(formula: tuple[int, ...]) -> int:
+    """The number a formula stands for: 0 for (), p**e for (p, e), and
+    p**e * (p**top - 1) // (p**d - 1) for (p, e, top, d)."""
+    if not formula:
+        return 0
+    p, e, *geometric = formula
+    if not geometric:
+        return p ** e
+    top, d = geometric
+    return p ** e * ((p ** top - 1) // (p ** d - 1))
 
-    __slots__ = ("value", "p_exponent", "trace")
+
+class CountResult(Record):
+    """A count held as its formula: the integers of its closed form (see
+    _evaluate), p_exponent E when the count is exactly p**E (else None),
+    and its trace of (tag, value) rows.
+
+    value builds the count from formula on each read, with no cache. The
+    count was refused when it was made if that would take more than
+    _POWER_BITS bits. Equality, hashing, repr and pickling run over the
+    three fields, so none of them builds it.
+    """
+
+    __slots__ = ("formula", "p_exponent", "trace")
+
+    @property
+    def value(self) -> int:
+        return _evaluate(self.formula)
 
 
 def _check_args(n: int, p: int, d: int) -> None:
@@ -194,17 +223,21 @@ def _shift(col, s: int, pd: int):
 
 def null_count_exponent(n: int, p: int, d: int) -> int:
     """log_p of the number of null polynomials of degree <= n mod p**d:
-    E = sum_{k<=n} min(d, v_p(k!)).
+    E = sum_{k<=n} min(d, v_p(k!)). A composite p, d < 1 or n < 0 is
+    refused here, with the messages every count gives."""
+    _check_args(n, p, d)
+    return _exponent(n, p, d, omega1_prime_power(p, d))
+
+
+def _exponent(n: int, p: int, d: int, omega1: int) -> int:
+    """null_count_exponent(n, p, d), given omega1 = omega1_prime_power(p, d).
 
     v_p(k!) >= d exactly when k >= omega1, so E is d per degree from omega1
     to n plus S(N) = sum_{k<=N} v_p(k!) for N = min(n, omega1 - 1).
     S(N) = sum over q = p**i of sum_{k<=N} floor(k / q), and each inner sum
     has a = (N+1) // q full runs of q equal values 0..a-1, then N+1 - a*q
-    values equal to a. A composite p, d < 1 or n < 0 is refused here, with
-    the messages every count gives.
+    values equal to a.
     """
-    _check_args(n, p, d)
-    omega1 = omega1_prime_power(p, d)
     top = min(n, omega1 - 1)
     total = d * max(0, n - omega1 + 1)
     q = p
@@ -220,24 +253,41 @@ def _check_power(p: int, e: int) -> None:
         raise ValueError(f"count needs {p}^{e}, over the {_POWER_BITS}-bit limit")
 
 
-def _shown(value: int, formula: str) -> int | str:
-    return value if value < _DISPLAY_LIMIT else formula
+def _shown(formula: tuple[int, ...], text: str) -> int | str:
+    """The trace row of a formula's number: the number while it is below
+    _DISPLAY_LIMIT, else text. The number is at least p**low and under
+    2 * p**low, low = e (+ top - d), so it is built only while p**low has
+    fewer than _DISPLAY_BITS bits."""
+    p, e, *geometric = formula
+    low = e + geometric[0] - geometric[1] if geometric else e
+    if low < _DISPLAY_BITS / log2(p):
+        value = _evaluate(formula)
+        if value < _DISPLAY_LIMIT:
+            return value
+    return text
 
 
-def _result(p: int, d: int, value: int, p_exponent: int | None,
-            rows: tuple[tuple[str, object], ...] = (), formula: str = "") -> CountResult:
+def _result(p: int, d: int, omega1: int, formula: tuple[int, ...] = (),
+            p_exponent: int | None = None, rows: tuple[tuple[str, object], ...] = (),
+            text: str = "") -> CountResult:
     """The one trace shape: modulus, omega1, the formula's rows, count."""
-    trace = (("modulus", f"{p}^{d}"), ("least_monic_degree", omega1_prime_power(p, d)),
-             *rows, ("count", _shown(value, formula)))
-    return CountResult(value, p_exponent, trace)
+    count = _shown(formula, text) if formula else 0
+    trace = (("modulus", f"{p}^{d}"), ("least_monic_degree", omega1), *rows, ("count", count))
+    return CountResult(formula, p_exponent, trace)
+
+
+def _power(p: int, d: int, omega1: int, e: int) -> CountResult:
+    """The count p**e, refused past _POWER_BITS bits."""
+    _check_power(p, e)
+    return _result(p, d, omega1, (p, e), e, (("count-exponent", e),), f"{p}^{e}")
 
 
 def count_null_le(n: int, p: int, d: int) -> CountResult:
     """Number of null polynomials of degree <= n mod p**d (zero poly
     included): p**E(n)."""
-    e = null_count_exponent(n, p, d)
-    _check_power(p, e)
-    return _result(p, d, p ** e, e, (("count-exponent", e),), f"{p}^{e}")
+    _check_args(n, p, d)
+    omega1 = omega1_prime_power(p, d)
+    return _power(p, d, omega1, _exponent(n, p, d, omega1))
 
 
 def count_monic(n: int, p: int, d: int) -> CountResult:
@@ -249,9 +299,10 @@ def count_monic(n: int, p: int, d: int) -> CountResult:
     one to one onto the null polynomials of degree < n.
     """
     _check_args(n, p, d)
-    if n < omega1_prime_power(p, d):
-        return _result(p, d, 0, None)
-    return count_null_le(n - 1, p, d)
+    omega1 = omega1_prime_power(p, d)
+    if n < omega1:
+        return _result(p, d, omega1)
+    return _power(p, d, omega1, _exponent(n - 1, p, d, omega1))
 
 
 def count_monic_le(n: int, p: int, d: int) -> CountResult:
@@ -264,11 +315,11 @@ def count_monic_le(n: int, p: int, d: int) -> CountResult:
     _check_args(n, p, d)
     omega1 = omega1_prime_power(p, d)
     if n < omega1:
-        return _result(p, d, 0, None)
-    e = null_count_exponent(omega1 - 1, p, d)
+        return _result(p, d, omega1)
+    e = _exponent(omega1 - 1, p, d, omega1)
     top = d * (n - omega1 + 1)
     _check_power(p, e + top)
-    factor = (p ** top - 1) // (p ** d - 1)
     geometric = f"({p}^{top}-1)/({p}^{d}-1)"
-    rows = (("threshold-exponent", e), ("geometric-factor", _shown(factor, geometric)))
-    return _result(p, d, factor * p ** e, e if n == omega1 else None, rows, f"{p}^{e}*{geometric}")
+    rows = (("threshold-exponent", e), ("geometric-factor", _shown((p, 0, top, d), geometric)))
+    return _result(p, d, omega1, (p, e, top, d), e if n == omega1 else None, rows,
+                   f"{p}^{e}*{geometric}")

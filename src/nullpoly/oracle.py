@@ -23,14 +23,12 @@ from .primes import is_prime, require_prime, vp_factorial
 def _fold(coeffs: Sequence[int], p: int) -> list[int]:
     """Coefficients mod the prime p of the fold of f by x**p ≡ x, of length
     min(len(coeffs), p): x**k with k >= 1 lands on x**j, 1 <= j < p,
-    j ≡ k (mod p - 1), the same function mod p. Trailing zeros are kept.
-    With no more chunks of p - 1 coefficients past the constant than there
-    are residues j, the chunks are added entrywise; with more, each
-    residue's slice is summed."""
+    j ≡ k (mod p - 1), the same function mod p. Trailing zeros are kept."""
     if not coeffs:
         return []
     step = p - 1
-    if len(coeffs) > step * step + 1:
+    # add up to min(p - 1, 10) chunks of p - 1, else sum slices: they win from 5 to 10 chunks
+    if len(coeffs) > step * min(step, 10) + 1:
         return [coeffs[0] % p] + [sum(coeffs[j::step]) % p for j in range(1, p)]
     acc = list(coeffs[1:p])
     for i in range(p, len(coeffs), step):

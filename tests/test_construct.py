@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import is_null_eval, kempner_mu_scan, least_monic_null_schoolbook, scaled_tower_value
+from nullpoly import construct
 from nullpoly.construct import (
     build_tower,
     digit_vector,
@@ -191,6 +192,14 @@ def test_least_monic_null_examples():
     alt = parse_polynomial("x^4-2x^3+3x^2-2x")
     assert is_null_eval(alt, 8) and is_null_eval(reduce_coeffs(h23, 8), 8)
     assert least_monic_null(3, 4).degree == 9
+
+
+def test_least_monic_null_builds_the_digit_vector_once(monkeypatch):
+    calls = []
+    real = construct.digit_vector
+    monkeypatch.setattr(construct, "digit_vector", lambda p, d: calls.append(1) or real(p, d))
+    assert least_monic_null(3, 4).degree == 9
+    assert len(calls) == 1
 
 
 def test_least_monic_null_nullity_grid():

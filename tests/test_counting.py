@@ -1,6 +1,10 @@
+import hashlib
+import pickle
 import random
+import re
 import time
 import tracemalloc
+from math import log2
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from conftest import (
     threshold_count_exponent,
     tower_threshold_exponent,
 )
+from nullpoly import counting
 from nullpoly.construct import least_monic_null, omega1_prime_power, repunit
 from nullpoly.counting import (
     count_monic,
@@ -193,6 +198,104 @@ def test_traces_print_at_a_large_prime():
         str(trace)
 
 
+def _grid():
+    for p in (2, 3, 5, 7, 11, 101):
+        for d in (1, 2, 3, 4, 7, 12):
+            w1 = omega1_prime_power(p, d)
+            for n in sorted({0, 1, 2, w1 - 2, w1 - 1, w1, w1 + 1, 2 * w1, 5 * w1 + 3}):
+                for counter in (count_null_le, count_monic, count_monic_le):
+                    yield counter, n, p, d
+
+
+def test_value_is_the_power_of_p_it_names():
+    for counter, n, p, d in _grid():
+        res = counter(n, p, d)
+        if res.p_exponent is not None:
+            assert res.value == p ** res.p_exponent, (counter.__name__, n, p, d)
+        assert res.value == _evaluated(res.trace), (counter.__name__, n, p, d)
+
+
+def _evaluated(trace):
+    # the trace's last row as a number, its formula read back where it is one
+    shown = trace[-1][1]
+    if isinstance(shown, int):
+        return shown
+    p, e, top, d = re.fullmatch(r"(\d+)\^(\d+)(?:\*\(\1\^(\d+)-1\)/\(\1\^(\d+)-1\))?", shown).groups()
+    p, e = int(p), int(e)
+    if top is None:
+        return p ** e
+    return p ** e * ((p ** int(top) - 1) // (p ** int(d) - 1))
+
+
+def test_counts_are_the_same_as_when_they_held_their_value():
+    # one digest over (value, p_exponent, trace) of every count on the grid,
+    # as taken when CountResult stored the value itself
+    rows = [(counter.__name__, n, p, d, hex(res.value), res.p_exponent, res.trace)
+            for counter, n, p, d in _grid() for res in [counter(n, p, d)]]
+    assert len(rows) == 951
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "86a4eb74c45c4734e7cca8aeaab36ef406792317c24724beafd0348bfedb6040"
+
+
+def test_each_count_computes_omega1_once(monkeypatch):
+    calls = []
+    real = counting.omega1_prime_power
+    monkeypatch.setattr(counting, "omega1_prime_power", lambda p, d: calls.append(1) or real(p, d))
+    for counter in (count_null_le, count_monic, count_monic_le):
+        for n in (3, 30):  # below omega1 = 4 mod 2^3, and above it
+            calls.clear()
+            counter(n, 2, 3)
+            assert len(calls) == 1, (counter.__name__, n)
+
+
+def test_a_large_count_is_made_without_its_digits():
+    # 3^2240293 has 444 kB of digits; the count holds its formula instead
+    tracemalloc.start()
+    try:
+        res = count_null_le(3000, 3, 10 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000, peak
+    assert res.p_exponent == 2240293 and res.trace[-1] == ("count", "3^2240293")
+
+
+def test_repr_equality_hash_and_pickle_never_build_the_value():
+    # repr(count_null_le(3000, 3, 10**4)) raised ValueError (over 4300
+    # digits) when the value was a field
+    made = [count_null_le(3000, 3, 10 ** 4), count_monic_le(400, 7, 40)]
+    tracemalloc.start()
+    try:
+        shown = [repr(res) for res in made]
+        copies = [pickle.loads(pickle.dumps(res)) for res in made]
+        assert copies == made and list(map(hash, copies)) == list(map(hash, made))
+        assert made[0] != made[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000, peak
+    assert shown == [
+        "CountResult(formula=(3, 2240293), p_exponent=2240293, trace=(('modulus', '3^10000'), "
+        "('least_monic_degree', 20007), ('count-exponent', 2240293), ('count', '3^2240293')))",
+        "CountResult(formula=(7, 4655, 6240, 40), p_exponent=None, trace=(('modulus', '7^40'), "
+        "('least_monic_degree', 245), ('threshold-exponent', 4655), "
+        "('geometric-factor', '(7^6240-1)/(7^40-1)'), ('count', '7^4655*(7^6240-1)/(7^40-1)')))",
+    ]
+    assert made[1].value == 7 ** 4655 * ((7 ** 6240 - 1) // (7 ** 40 - 1))
+
+
+def test_a_count_is_shown_as_its_formula_from_ten_to_the_forty():
+    # mod 2, E(n) = n - 1: 2^132 < 10^40 < 2^133
+    assert count_null_le(133, 2, 1).trace[-1] == ("count", 2 ** 132)
+    assert count_null_le(134, 2, 1).trace[-1] == ("count", "2^133")
+    # count_monic_le(n, 2, 1) is its geometric factor (2^(n-1) - 1)/(2 - 1),
+    # below 10^40 while n <= 133
+    assert count_monic_le(133, 2, 1).trace[-2:] == (
+        ("geometric-factor", 2 ** 132 - 1), ("count", 2 ** 132 - 1))
+    assert count_monic_le(134, 2, 1).trace[-2:] == (
+        ("geometric-factor", "(2^133-1)/(2^1-1)"), ("count", "2^0*(2^133-1)/(2^1-1)"))
+
+
 def test_count_monic_le_is_geometric_sum():
     for p in (2, 3, 5, 7):
         for d in range(1, 9):
@@ -361,7 +464,7 @@ def test_monic_count_matches_digit_block_formula(p, d, data):
     n = data.draw(st.integers(min_value=w1, max_value=3 * w1))
     want = threshold_count_exponent(p, d)[0] + d * (n - w1)
     assert null_count_exponent(n - 1, p, d) == want
-    if want <= 10 ** 5:  # count_monic builds p**E itself, so only while that is small
+    if want <= counting._POWER_BITS / log2(p):  # count_monic refuses a larger p**E
         assert count_monic(n, p, d).p_exponent == want
 
 

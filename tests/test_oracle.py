@@ -325,11 +325,13 @@ def test_fold_by_x_to_the_p_keeps_the_null_verdict(case):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 457])
 def test_fold_adds_chunks_as_the_slice_definition(p):
-    # up to (p - 1)**2 + 1 coefficients _fold adds chunks of p - 1 entrywise,
-    # past that it sums one slice per residue; both are the definition
+    # up to min(p - 1, 10) chunks of p - 1 coefficients past the constant
+    # _fold adds chunks entrywise, past that it sums one slice per residue;
+    # both are the definition, at 1, 9, 10, 11 and 200 chunks too
     rng = random.Random(f"fold:{p}")
     step = p - 1
-    for n in sorted({0, 1, step, p, p + 1, step * step - 1, step * step + 1, step * step + 2}):
+    chunks = {1 + step * c + extra for c in (1, 9, 10, 11, 200) for extra in (-1, 0, 1)}
+    for n in sorted({0, 1, step, p, p + 1, step * step - 1, step * step + 1, step * step + 2} | chunks):
         c = [rng.randrange(-10 ** 30, 10 ** 30) for _ in range(n)]
         want = [c[0] % p] + [sum(c[j::step]) % p for j in range(1, min(n, p))] if c else []
         assert oracle._fold(c, p) == want, n
