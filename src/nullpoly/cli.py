@@ -19,14 +19,8 @@ import sys
 from math import lgamma, log, log2, log10, prod
 
 from . import canonical, construct, counting, modulus, oracle
-from .polys import (
-    ParseError,
-    Polynomial,
-    format_csv,
-    format_human,
-    parse_polynomial,
-    reduce_coeffs,
-)
+from .polys import (_POWER_BITS, ParseError, Polynomial, check_bits, format_csv, format_human,
+                    parse_polynomial, reduce_coeffs)
 from .primes import require_prime, vp_factorial
 
 _MU_LIMIT = 10 ** 5  # longest canonical form (mu(m) entries) reduce and equiv print
@@ -66,25 +60,23 @@ def _parse_prime_power(text: str) -> tuple[int, int]:
     return p, d
 
 
-def _check_printable(what: str, digits: float) -> None:
-    """Refuse, before it is built, a number of about `digits` decimal digits
-    (floor(digits) + 1): one of sys.get_int_max_str_digits() digits or more
-    could not be printed, and one of over counting._POWER_BITS bits is too
+def _check_printable(what: str, bits: float) -> None:
+    """Refuse, before it is built, a number of about `bits` bits: one of
+    sys.get_int_max_str_digits() decimal digits or more (floor(bits *
+    log10(2)) + 1) could not be printed, and one past check_bits is too
     large to build, whatever that limit is set to."""
     limit = sys.get_int_max_str_digits()
-    if limit and digits >= limit:
+    if limit and bits * log10(2) >= limit:
         raise ValueError(f"{what} has over {limit} decimal digits, "
                          f"the sys.get_int_max_str_digits() limit for printing")
-    if digits * log2(10) > counting._POWER_BITS:
-        raise ValueError(f"{what} has over {counting._POWER_BITS} bits, too large to build")
+    check_bits(what, bits)
 
 
-def _digits(p: int, d: int) -> float:
-    """About the decimal digits of p**d: d * log10(p), with d clamped to
-    sys.maxsize so that it converts to a float. p**d past the clamp has
-    over 2 * 10**18 digits, which _check_printable refuses whatever the
-    limits."""
-    return min(d, sys.maxsize) * log10(p)
+def _bits(p: int, d: int) -> float:
+    """About the bits of p**d: d * log2(p), with d clamped to sys.maxsize
+    so that it converts to a float. p**d past the clamp has over 6 * 10**18
+    bits, which _check_printable refuses whatever the limits."""
+    return min(d, sys.maxsize) * log2(p)
 
 
 def _count_at_most(p: int, e: int, limit: int) -> bool:
@@ -116,21 +108,20 @@ def _cmd_construct(args):
     p, d = args.p, args.d
     digits = construct.digit_vector(p, d)  # refuses a p that is not prime, then d < 1
     family = args.family
-    if family == "H":
-        poly = construct.least_monic_null(p, d)
-        m = p ** d
-    elif family == "G":
+    # every family's coefficients are bounded, never below, before it is built
+    if family == "kempner":
+        mu = construct.omega1_prime_power(p, d)
+        what = f"kempner(p={p}, d={d}), whose coefficient magnitudes sum to {mu}!,"
+        bits = lgamma(min(mu, sys.maxsize) + 1) / log(2)
+    else:
+        what = f"{family}(p={p}, d={d}), by a bound on its coefficients,"
+        bits = construct.tower_bits(p, d)[-1] if family == "G" else construct.null_bits(p, digits)
+    _check_printable(what, bits)
+    if family == "G":
         poly = construct.build_tower(p, d)[-1]
         m = p ** construct.repunit(p, d)
     else:
-        # the coefficients' magnitudes sum to mu!, which bounds the largest: under
-        # the default 4300-digit limit it refuses just the unprintable bases (4299
-        # digits at mu = 1558, 4302 at 1559); under another the largest can be a
-        # digit shorter than mu! and still print; mu is clamped as in _digits
-        mu = construct.omega1_prime_power(p, d)
-        _check_printable(f"kempner(p={p}, d={d}), whose coefficient magnitudes sum to {mu}!,",
-                         lgamma(min(mu, sys.maxsize) + 1) / log(10))
-        poly = modulus.kempner_basis(p ** d)
+        poly = construct.least_monic_null(p, d) if family == "H" else modulus.kempner_basis(p ** d)
         m = p ** d
     if not oracle.is_null_binomial(poly, m):
         raise AssertionError("constructed polynomial failed the null oracle")
@@ -244,16 +235,16 @@ def _cmd_reduce(args):
 
 def _cmd_count(args):
     n, p, d = args.n, args.p, args.d
+    every = counting.count_null_le(n, p, d)  # the polynomials the cross-check enumerates
     if args.monic:
         res = counting.count_monic(n, p, d)
         label = f"N_mnp({n}, {p}^{d})"
     else:
-        res = counting.count_null_le(n, p, d)
+        res = every
         label = f"N_np(<={n}, {p}^{d})"
     verified = None
     # enumerate while count_null_le(n) = p**E(n) <= 4096 and p**d can be built
-    if (d <= counting._POWER_BITS / log2(p)
-            and _count_at_most(p, counting.null_count_exponent(n, p, d), 4096)):
+    if d <= _POWER_BITS / log2(p) and _count_at_most(p, every.p_exponent, 4096):
         polys = list(counting.enumerate_null(p, d, n))
         if args.monic:
             # enumerate_null yields reduced polynomials
@@ -279,12 +270,12 @@ def _cmd_count(args):
 
 def _cmd_enumerate(args):
     n, p, d = args.n, args.p, args.d
-    e = counting.null_count_exponent(n, p, d)
+    e = counting.count_null_le(n, p, d).p_exponent
     if not _count_at_most(p, e, args.limit):
         raise ValueError(
             f"count {p}^{e} exceeds --limit {args.limit}; raise the limit to proceed"
         )
-    _check_printable(f"modulus {_prime_power_str(p, d)}", _digits(p, d))
+    _check_printable(f"modulus {_prime_power_str(p, d)}", _bits(p, d))
     total = p ** e
     pd = p ** d
     polys = sorted(counting.enumerate_null(p, d, n), key=lambda f: f.coeffs)
@@ -310,7 +301,7 @@ def _cmd_crt(args):
         f = parse_polynomial(items[i])
         parts.append((f, *_parse_prime_power(items[i + 1])))
     _check_printable("modulus " + " * ".join(_prime_power_str(p, d) for _, p, d in parts),
-                     sum(_digits(p, d) for _, p, d in parts))
+                     sum(_bits(p, d) for _, p, d in parts))
     combined = modulus.crt_combine_poly([(f, p ** d) for f, p, d in parts])
     m = prod(p ** d for _, p, d in parts)
     for f, p, d in parts:

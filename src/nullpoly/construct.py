@@ -16,8 +16,9 @@ least-degree monic null polynomial mod p**d, of degree omega1(p, d).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lgamma, log, log2
 
-from .polys import Polynomial, check_degree, product
+from .polys import Polynomial, check_bits, check_degree, product
 from .primes import require_prime
 
 
@@ -40,12 +41,13 @@ def build_tower(p: int, n: int) -> tuple[Polynomial, ...]:
     """Tower levels 1..n for the prime p: entry k - 1 is level k, monic of
     degree p**k and null mod p**repunit(p, k). Level n is built on the
     cached build_tower(p, n - 1), so each level is built once per prime.
-    A degree p**n that no coefficient list can hold is refused before the
-    first level is built."""
+    A degree p**n that no coefficient list can hold, or coefficients too
+    large to build by tower_bits, are refused before the first level is
+    built."""
     require_prime(p)
     if n < 1:
         raise ValueError("tower height must be >= 1")
-    check_degree(p, n)
+    check_bits(f"tower level {n} for p={p}, by a bound on its coefficients,", tower_bits(p, n)[-1])
     lower = build_tower(p, n - 1) if n > 1 else ()
     g = lower[-1] if lower else Polynomial((0, 1))
     step = p ** repunit(p, n - 1)
@@ -53,6 +55,40 @@ def build_tower(p: int, n: int) -> tuple[Polynomial, ...]:
     if level.degree != p ** n or level.coeffs[-1] != 1:
         raise AssertionError(f"tower level {n} for p={p} is not monic of degree p**{n}")
     return lower + (level,)
+
+
+def tower_bits(p: int, n: int) -> list[float]:
+    """log2 of a bound on the largest coefficient of each of tower levels
+    1..n, never below it. A degree p**n that no coefficient list can hold is
+    refused first (check_degree), so the loop runs fewer than 64 times.
+
+    A product's 1-norm is at most the product of its factors' 1-norms, so
+    with N a bound on level k-1's 1-norm and s = p**repunit(p, k-1), level
+    k's is at most prod_{i<p} (N + i*s) = s**p * Gamma(r + p) / Gamma(r),
+    r = N / s >= 1. Past r = 2**20 the lgamma difference cancels, and
+    p*log2(N) + (p(p-1)/2) * (s/N) / ln 2 bounds it instead, since
+    ln(1 + x) <= x. N and s are kept as log2, too large for a float.
+    """
+    check_degree(p, n)
+    bits, norm = [], 0.0  # level 0 is x, of 1-norm 1
+    for k in range(1, n + 1):
+        log_s = repunit(p, k - 1) * log2(p)
+        if norm - log_s > 20:
+            norm = p * norm + p * (p - 1) / 2 * 2 ** (log_s - norm) / log(2)
+        else:
+            r = 2 ** (norm - log_s)
+            norm = p * log_s + (lgamma(r + p) - lgamma(r)) / log(2)
+        bits.append(norm)
+    return bits
+
+
+def null_bits(p: int, digits: tuple[int, ...]) -> float:
+    """log2 of a bound on the largest coefficient of the least monic null
+    polynomial with digit vector digits, never below it: sum e_i * (level
+    i's tower_bits), its factors' 1-norms multiplied. A degree that no
+    coefficient list can hold is refused first (check_degree)."""
+    check_degree(_degree(p, digits))
+    return sum(e * bits for e, bits in zip(digits, tower_bits(p, len(digits))))
 
 
 def digit_vector(p: int, d: int) -> tuple[int, ...]:
@@ -91,11 +127,13 @@ def least_monic_null(p: int, d: int) -> Polynomial:
 
     Product of tower levels with the digit-vector exponents; monic over Z,
     of degree omega1_prime_power(p, d) = mu(p**d). A degree that no
-    coefficient list can hold is refused before any tower level is built.
+    coefficient list can hold, or coefficients too large to build by
+    null_bits, are refused before any tower level is built.
     """
     digits = digit_vector(p, d)
+    check_bits(f"the least monic null polynomial mod {p}^{d}, by a bound on its coefficients,",
+               null_bits(p, digits))
     omega1 = _degree(p, digits)
-    check_degree(omega1)
     tower = build_tower(p, len(digits))
     h = product(level ** e for level, e in zip(tower, digits) if e)
     if h.coeffs[-1] != 1 or h.degree != omega1:

@@ -10,19 +10,9 @@ mod p**d are the sums
     sum_{k<=n} c_k * p**(d - e_k) * x(x-1)...(x-k+1)  (mod p**d),
     0 <= c_k < p**e_k,
 
-each exactly once. enumerate_null walks that box group by group: the
-zero polynomial, then, for each k <= n with p**e_k > 1 from the lowest,
-the sums whose highest nonzero digit is c_k. Those have exactly k + 1
-coefficients, the top one nonzero, so no output needs trimming. A group is
-made in blocks of at most _BLOCK_CELLS coefficients, which bounds memory
-between yields, held column by column: column k holds coefficient k of
-every output of the block, as bytes when p**d <= 256. A block is grown by
-repeating a column (where a row is 0) or by one C-level pass a digit value
-(bytes.translate, or a map, where it is not); its records come from
-zip(*columns) through polys.from_trimmed; a small odometer over the lowest
-rows adds their sum to the few columns they reach. Every count is one
-formula in the box's log_p size, E(n) = sum_{k<=n} min(d, v_p(k!)), found
-in O(log_p n):
+each exactly once. enumerate_null walks that box (see it and _blocks for
+how). Every count is one formula in the box's log_p size,
+E(n) = sum_{k<=n} min(d, v_p(k!)), found in O(log_p n):
 
     count_null_le(n)  = p**E(n);
     count_monic(n)    = 0 below omega1, else p**E(n - 1);
@@ -35,10 +25,9 @@ is built from them on each read, and no function here reads it. Each trace
 is the modulus, omega1, the formula's rows, then the count. A count or
 factor from _DISPLAY_LIMIT on is shown as its formula (p^E, (p^A-1)/(p^d-1)
 or p^E*(p^A-1)/(p^d-1)), decided from its exponent, so its digits are never
-built; the CLI prints that last row as its answer. A count whose value would
-need a power of p of more than _POWER_BITS bits (p**E(n), or p**(E + A) for
-count_monic_le) is refused when it is counted, so no read of value builds
-more than that.
+built; the CLI prints that last row as its answer. Every count is
+answered whatever its size; a read of value past polys.check_bits' limit
+is refused.
 
 The paper's own route to both answers, a sum of layers p**(d-j) * B_j * q_j
 over the least monic null polynomials B_j mod p**j (its enumeration
@@ -47,12 +36,13 @@ theorem) and the digit-block count below omega1, lives in the tests
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from math import gcd, log2
 
 from ._record import Record
 from .construct import omega1_prime_power
-from .polys import Polynomial, from_trimmed
+from .polys import Polynomial, check_bits, from_trimmed
 from .primes import require_prime
 
 # Counts and factors from this value on are shown as their formula, so no
@@ -61,8 +51,6 @@ _DISPLAY_LIMIT = 10 ** 40
 # 133: a number of at least p**e is shown as its formula, unbuilt, once p**e
 # has this many bits, for 10**40 < 2**133.
 _DISPLAY_BITS = _DISPLAY_LIMIT.bit_length()
-# The most bits of a power of p a count builds; 3**5292497 takes over 1 s.
-_POWER_BITS = 2 ** 23
 # The most coefficients enumerate_null holds in one block of outputs, so that
 # memory between yields stays bounded whatever the width and the radices:
 # about 0.4 MB traced while (2, 3, 8) or (1009, 1, 1009) is consumed.
@@ -86,16 +74,22 @@ class CountResult(Record):
     _evaluate), p_exponent E when the count is exactly p**E (else None),
     and its trace of (tag, value) rows.
 
-    value builds the count from formula on each read, with no cache. The
-    count was refused when it was made if that would take more than
-    _POWER_BITS bits. Equality, hashing, repr and pickling run over the
-    three fields, so none of them builds it.
+    value builds the count from formula on each read, with no cache, and
+    refuses (polys.check_bits) a count of p**e, or under p**(e + top - d + 1),
+    that is too large to build. Equality, hashing, repr and pickling run
+    over the three fields, so none of them builds it.
     """
 
     __slots__ = ("formula", "p_exponent", "trace")
 
     @property
     def value(self) -> int:
+        if self.formula:
+            p, e, *geometric = self.formula
+            # under p**(e + top - d + 1) for a geometric formula; a count this
+            # large is past _DISPLAY_LIMIT, so the trace's last row is its formula
+            power = e + geometric[0] - geometric[1] + 1 if geometric else e
+            check_bits(f"count {self.trace[-1][1]}", min(power, sys.maxsize) * log2(p))
         return _evaluate(self.formula)
 
 
@@ -113,6 +107,8 @@ def _rows(p: int, d: int, n: int) -> Iterator[tuple[list[int], int]]:
     (p**d // g_k) * x(x-1)...(x-k+1) mod p**d, k + 1 coefficients with top
     p**d // g_k, and its radix g_k. One running quantity gives both:
     g_k = gcd(p**d, g_{k-1} * k)."""
+    if n < p:  # g_k = 1 below k = p: no row, and no falling factorial to grow
+        return
     pd = p ** d
     falling = [1]  # x(x-1)...(x-k+1) mod p**d, ascending
     g = 1
@@ -139,7 +135,7 @@ def enumerate_null(p: int, d: int, n: int) -> Iterator[Polynomial]:
 
     Rejects what count_null_le rejects, with the same messages, on the
     first next(). Coefficients come out reduced to [0, p**d). The caller is
-    responsible for bounding the total via null_count_exponent first;
+    responsible for bounding the total via count_null_le first;
     generation order is an implementation detail (the CLI sorts).
     """
     _check_args(n, p, d)
@@ -221,16 +217,9 @@ def _shift(col, s: int, pd: int):
     return map(pd.__rmod__, map(s.__add__, col))
 
 
-def null_count_exponent(n: int, p: int, d: int) -> int:
-    """log_p of the number of null polynomials of degree <= n mod p**d:
-    E = sum_{k<=n} min(d, v_p(k!)). A composite p, d < 1 or n < 0 is
-    refused here, with the messages every count gives."""
-    _check_args(n, p, d)
-    return _exponent(n, p, d, omega1_prime_power(p, d))
-
-
 def _exponent(n: int, p: int, d: int, omega1: int) -> int:
-    """null_count_exponent(n, p, d), given omega1 = omega1_prime_power(p, d).
+    """E(n) = sum_{k<=n} min(d, v_p(k!)), log_p of count_null_le(n, p, d),
+    given omega1 = omega1_prime_power(p, d).
 
     v_p(k!) >= d exactly when k >= omega1, so E is d per degree from omega1
     to n plus S(N) = sum_{k<=N} v_p(k!) for N = min(n, omega1 - 1).
@@ -246,11 +235,6 @@ def _exponent(n: int, p: int, d: int, omega1: int) -> int:
         total += q * a * (a - 1) // 2 + a * (top + 1 - a * q)
         q *= p
     return total
-
-
-def _check_power(p: int, e: int) -> None:
-    if e > _POWER_BITS / log2(p):  # e * log2(p) would overflow a float for a huge e
-        raise ValueError(f"count needs {p}^{e}, over the {_POWER_BITS}-bit limit")
 
 
 def _shown(formula: tuple[int, ...], text: str) -> int | str:
@@ -277,8 +261,7 @@ def _result(p: int, d: int, omega1: int, formula: tuple[int, ...] = (),
 
 
 def _power(p: int, d: int, omega1: int, e: int) -> CountResult:
-    """The count p**e, refused past _POWER_BITS bits."""
-    _check_power(p, e)
+    """The count p**e."""
     return _result(p, d, omega1, (p, e), e, (("count-exponent", e),), f"{p}^{e}")
 
 
@@ -318,7 +301,6 @@ def count_monic_le(n: int, p: int, d: int) -> CountResult:
         return _result(p, d, omega1)
     e = _exponent(omega1 - 1, p, d, omega1)
     top = d * (n - omega1 + 1)
-    _check_power(p, e + top)
     geometric = f"({p}^{top}-1)/({p}^{d}-1)"
     rows = (("threshold-exponent", e), ("geometric-factor", _shown((p, 0, top, d), geometric)))
     return _result(p, d, omega1, (p, e, top, d), e if n == omega1 else None, rows,

@@ -26,8 +26,7 @@ from math import gcd, lgamma, log
 from operator import add
 
 from . import construct
-from .counting import _POWER_BITS
-from .polys import Polynomial, product
+from .polys import Polynomial, check_bits, product
 from .primes import prime_factorization as factor
 
 
@@ -113,11 +112,10 @@ def kempner_basis(m: int) -> Polynomial:
     For a prime p it is x(x-1)...(x-(p-1)), the tower's level 1.
 
     Its coefficient magnitudes sum to mu!, which bounds the largest; a basis
-    whose mu! has over _POWER_BITS bits, by lgamma, is refused before any
-    factor is built (mu is clamped to sys.maxsize to convert to a float).
+    whose mu! is too large to build, by lgamma, is refused (check_bits)
+    before any factor is built.
     """
     mu = kempner_mu(m)
-    if lgamma(min(mu, sys.maxsize) + 1) / log(2) > _POWER_BITS:
-        raise ValueError(f"kempner basis mod {m} has coefficient magnitudes summing to {mu}!, "
-                         f"over the {_POWER_BITS}-bit limit")
+    check_bits(f"kempner basis mod {m}, whose coefficient magnitudes sum to {mu}!,",
+               lgamma(min(mu, sys.maxsize) + 1) / log(2))
     return product(Polynomial((-i, 1)) for i in range(mu))

@@ -393,6 +393,18 @@ def check_degree(base: int, exp: int = 1) -> None:
         raise ValueError(f"degree {shown} is too large for a coefficient list")
 
 
+# The most bits of a number built to answer a question; 3**5292497 takes over 1 s.
+_POWER_BITS = 2 ** 23
+
+
+def check_bits(what: str, bits: float) -> None:
+    """Refuse, before it is built, a number of about `bits` bits when that
+    is over _POWER_BITS. A caller clamps a huge exponent to sys.maxsize
+    before it makes `bits` a float."""
+    if bits > _POWER_BITS:
+        raise ValueError(f"{what} has over {_POWER_BITS} bits, too large to build")
+
+
 def format_csv(f: Polynomial) -> str:
     if not f.coeffs:
         return "0"

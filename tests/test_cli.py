@@ -4,6 +4,7 @@ import os
 import re
 import resource
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from nullpoly import counting, modulus, oracle
+from nullpoly import counting, modulus, oracle, polys
 from nullpoly.cli import build_parser, main
 from nullpoly.construct import omega1_prime_power
 from nullpoly.polys import Polynomial, parse_polynomial
@@ -137,18 +138,24 @@ def test_enumerate_sorted_and_verified(capsys):
     assert keys == sorted(keys)
 
 
-def test_count_refuses_a_power_too_large_to_build(capsys):
-    # E(10^6) mod 3^(10^6) is 249994082012: 3^E has about 4 * 10^11 bits
+def test_count_answers_a_power_too_large_to_build(capsys):
+    # E(10^6) mod 3^(10^6) is 249994082012: 3^E has about 4 * 10^11 bits,
+    # and the count is its formula, never built
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "count", "1000000", "3", "1000000")
     assert time.perf_counter() - start < 1.0
-    assert (code, out, err) == (1, "", "error: count needs 3^249994082012, over the 8388608-bit limit\n")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "N_np(<=1000000, 3^1000000) = 3^249994082012"
+    result = run_json(capsys, "count", "1000000", "3", "1000000")["result"]
+    assert result == {"count": None, "count_str": "3^249994082012", "p_exponent": 249994082012}
     # monic of degree 10^6 mod 3^10: the count is 3^E(10^6 - 1), with E about 10^7
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "count", "1000000", "3", "10", "--monic")
-    assert (code, out) == (1, "") and err.endswith(", over the 8388608-bit limit\n")
-    # count_monic_le bounds p^(E + A), E = E(omega1 - 1), A = d * (n - omega1 + 1)
-    with pytest.raises(ValueError, match="over the 8388608-bit limit"):
-        counting.count_monic_le(10 ** 5, 3, 10 ** 4)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "N_mnp(1000000, 3^10) = 3^9999865"
+    result = run_json(capsys, "count", "1000000", "3", "10", "--monic")["result"]
+    assert result == {"count": None, "count_str": "3^9999865", "p_exponent": 9999865}
 
 
 def test_enumerate_checks_the_count_it_reports(capsys, monkeypatch):
@@ -425,7 +432,7 @@ def test_cli_import_loads_neither_dataclasses_nor_typing():
 
 def test_count_cross_check_at_a_huge_modulus_answers():
     # the enumeration rows scale by p^d / g without a 2d-bit product mod p^d;
-    # 2^8000000 is just below counting._POWER_BITS, so the cross-check runs
+    # 2^8000000 is just below polys._POWER_BITS, so the cross-check runs
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-m", "nullpoly.cli", "count", "3", "2", "8000000", "--json"],
                           env=env, capture_output=True, text=True, timeout=60)
@@ -435,7 +442,7 @@ def test_count_cross_check_at_a_huge_modulus_answers():
 
 
 def test_count_past_the_power_limit_answers_unverified():
-    # 3^99999999 is over counting._POWER_BITS: the count, 3, is answered, and
+    # 3^99999999 is over polys._POWER_BITS: the count, 3, is answered, and
     # the enumeration cross-check, which would build 3^99999999, is skipped
     env = dict(os.environ, PYTHONPATH=str(SRC))
     start = time.perf_counter()
@@ -483,7 +490,7 @@ def test_a_modulus_too_long_to_print_is_refused_up_front(argv, digits_off, modul
     assert time.perf_counter() - start < 2.0
     assert (done.returncode, done.stdout) == (1, "")
     if digits_off:
-        assert done.stderr == f"error: modulus {modulus} has over {counting._POWER_BITS} bits, too large to build\n"
+        assert done.stderr == f"error: modulus {modulus} has over {polys._POWER_BITS} bits, too large to build\n"
     else:
         assert done.stderr == (f"error: modulus {modulus} has over 4300 decimal digits, "
                                "the sys.get_int_max_str_digits() limit for printing\n")
@@ -503,7 +510,7 @@ def test_construct_kempner_refuses_a_basis_too_large_to_build():
     assert time.perf_counter() - start < 2.0
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == ("error: kempner(p=1000003, d=1), whose coefficient magnitudes sum to 1000003!, "
-                           f"has over {counting._POWER_BITS} bits, too large to build\n")
+                           f"has over {polys._POWER_BITS} bits, too large to build\n")
 
 
 HUGE = str(10 ** 400)  # past the float range: d * log10(p) would overflow
@@ -523,13 +530,12 @@ def _run_capped(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("count", HUGE, "3", "2"),
     ("enumerate", "3", "2", HUGE),
     ("crt", "x", f"2^{HUGE}", "x", "3"),
     ("construct", "2", HUGE, "--family", "kempner"),
     ("construct", "2", HUGE),
     ("construct", "2", HUGE, "--family", "G"),
-], ids=["count-n", "enumerate", "crt", "construct-kempner", "construct-H", "construct-G"])
+], ids=["enumerate", "crt", "construct-kempner", "construct-H", "construct-G"])
 def test_an_exponent_past_the_float_range_is_refused(argv):
     # each size check compares without turning the exponent into a float,
     # which raised OverflowError and ended in a traceback; construct's H and
@@ -555,13 +561,81 @@ def test_a_construct_degree_no_list_can_hold_is_refused(argv, degree):
     assert err == f"error: degree {degree} is too large for a coefficient list\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "2", "62", "--family", "G"),
+    ("construct", "2", "14", "--family", "G"),
+    ("construct", "2", "100000"),
+], ids=["G(2,62)", "G(2,14)", "H(2,100000)"])
+def test_construct_refuses_coefficients_too_long_to_print(capsys, argv):
+    # refused by a bound that is never below the coefficients, before the
+    # tower is built; without it G(2, 62) runs without end and H(2, 100000)
+    # for over 20 s
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    family = argv[4] if len(argv) > 3 else "H"
+    assert err == (f"error: {family}(p=2, d={argv[2]}), by a bound on its coefficients, has over 4300 "
+                   "decimal digits, the sys.get_int_max_str_digits() limit for printing\n")
+
+
+# Sizes at and around every edge a size check compares against: the float
+# range (10^400), sys.maxsize, the bit lengths of a word, and a prime past
+# any float-exact product.
+EDGE_INTS = [-1, 0, 1, 2, 3, 63, 64, 10 ** 6, sys.maxsize - 1, sys.maxsize, 10 ** 400]
+EDGE_PRIMES = [2, 3, 4, 10 ** 22 + 9]
+
+
+def _edge_grid():
+    for p in EDGE_PRIMES:
+        for d in EDGE_INTS:
+            for family in ("G", "H", "kempner"):
+                yield "construct", str(p), str(d), "--family", family
+            yield "crt", "x", f"{p}^{d}", "x", "3"
+            for n in EDGE_INTS:
+                yield "count", str(n), str(p), str(d)
+                yield "count", str(n), str(p), str(d), "--monic"
+                yield "enumerate", str(n), str(p), str(d)
+
+
+def test_every_size_on_the_edge_grid_answers_or_refuses_at_once(capsys):
+    # each case answers, or exits 1 or 2 with one error line, within 1 s; an
+    # alarm turns a run that does not end into a failure of its own case
+    def stop(signum, frame):
+        raise TimeoutError("still running after 5 s")
+
+    failures = []
+    previous = signal.signal(signal.SIGALRM, stop)
+    try:
+        for argv in _edge_grid():
+            start = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, 5.0)
+            try:
+                code, out, err = run_cli(capsys, *argv)
+            except BaseException as e:  # noqa: BLE001 - SystemExit and the alarm too
+                failures.append((argv, f"raised {e!r}"))
+                continue
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            seconds = time.perf_counter() - start
+            answered = code == 0 and out and not err
+            refused = code in (1, 2) and not out and err.startswith("error: ") and err.count("\n") == 1
+            if seconds >= 1.0 or not (answered or refused):
+                failures.append((argv, code, err[:200], round(seconds, 2)))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert failures == []
+
+
 @pytest.mark.parametrize("argv, count", [
     (("count", "3", "2", HUGE), 4),
     (("count", "10", "3", HUGE, "--monic"), 0),
-], ids=["count-d", "count-monic-d"])
+    (("count", HUGE, "3", "2"), None),
+], ids=["count-d", "count-monic-d", "count-n"])
 def test_a_count_mod_a_power_past_the_float_range_is_answered(argv, count):
-    # neither count builds 2^d or 3^d, so these are answered, as with an
-    # exponent that fits a float; the enumeration cross-check is skipped
+    # no count builds 2^d, 3^d or its own 3^E(n), so these are answered, as
+    # with an exponent that fits a float, the last as its formula; the
+    # enumeration cross-check is skipped
     code, out, err, seconds = _run_capped([*argv, "--json"])
     assert seconds < 2.0
     assert (code, err) == (0, "")

@@ -1,4 +1,5 @@
 import time
+from math import log2
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,10 @@ from nullpoly.construct import (
     build_tower,
     digit_vector,
     least_monic_null,
+    null_bits,
     omega1_prime_power,
     repunit,
+    tower_bits,
 )
 from nullpoly.modulus import factor, kempner_basis, kempner_mu, omega0_composite
 from nullpoly.oracle import is_null_binomial
@@ -337,3 +340,39 @@ def test_a_degree_no_list_can_hold_is_refused_before_the_tower(build, args, degr
         build(*args)
     assert time.perf_counter() - start < 0.1
     assert str(refusal.value) == f"degree {degree} is too large for a coefficient list"
+
+
+def _bound_grid():
+    for p in (2, 3, 5, 7):
+        for d in range(1, 60):
+            yield "H", p, d
+    for p in (11, 13, 101):
+        for d in range(1, 6):
+            yield "H", p, d
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        n = 1
+        while p ** n <= 5000:
+            yield "G", p, n
+            n += 1
+
+
+def test_coefficient_bounds_are_never_below_the_coefficients():
+    for family, p, d in _bound_grid():
+        if family == "H":
+            f, bits = least_monic_null(p, d), null_bits(p, digit_vector(p, d))
+        else:
+            f, bits = build_tower(p, d)[-1], tower_bits(p, d)[-1]
+        assert bits >= log2(max(map(abs, f.coeffs))), (family, p, d, bits)
+
+
+@pytest.mark.parametrize("build, args, what", [
+    (build_tower, (2, 30), "tower level 30 for p=2"),
+    (least_monic_null, (2, 10 ** 7), "the least monic null polynomial mod 2^10000000"),
+], ids=["G(2,30)", "H(2,10^7)"])
+def test_coefficients_too_large_to_build_are_refused_before_the_tower(build, args, what):
+    # each coefficient bound is a handful of lgamma calls, one a tower level
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refusal:
+        build(*args)
+    assert time.perf_counter() - start < 1.0
+    assert str(refusal.value) == f"{what}, by a bound on its coefficients, has over 8388608 bits, too large to build"

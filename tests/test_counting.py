@@ -4,7 +4,6 @@ import random
 import re
 import time
 import tracemalloc
-from math import log2
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,6 @@ from nullpoly.counting import (
     count_monic_le,
     count_null_le,
     enumerate_null,
-    null_count_exponent,
 )
 from nullpoly.oracle import is_null_binomial
 from nullpoly.polys import Polynomial, parse_polynomial, reduce_coeffs
@@ -70,8 +68,7 @@ def test_enumerate_equals_the_papers_layered_null_set():
 
 
 def test_enumerate_rejects_what_count_rejects():
-    others = [lambda n, p, d: list(enumerate_null(p, d, n)), count_monic, count_monic_le,
-              null_count_exponent]
+    others = [lambda n, p, d: list(enumerate_null(p, d, n)), count_monic, count_monic_le]
     for n, p, d in [(3, 4, 2), (3, 2, 0), (-1, 2, 3), (-1, 4, 2), (-1, 2, 2)]:
         with pytest.raises(ValueError) as counted:
             count_null_le(n, p, d)
@@ -258,6 +255,28 @@ def test_a_large_count_is_made_without_its_digits():
         tracemalloc.stop()
     assert peak < 64_000, peak
     assert res.p_exponent == 2240293 and res.trace[-1] == ("count", "3^2240293")
+
+
+def test_value_refuses_a_count_too_large_to_build():
+    # 3^249994082012 has about 4 * 10^11 bits; count_monic_le(10^5, 3, 10^4)
+    # is under 3^(E + A - d + 1), E = E(omega1 - 1), A = d * (n - omega1 + 1)
+    for res, shown in [(count_null_le(10 ** 6, 3, 10 ** 6), "3^249994082012"),
+                       (count_monic_le(10 ** 5, 3, 10 ** 4), "3^99975465*(3^799940000-1)/(3^10000-1)")]:
+        assert res.trace[-1] == ("count", shown)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refusal:
+            res.value
+        assert time.perf_counter() - start < 1.0
+        assert str(refusal.value) == f"count {shown} has over 8388608 bits, too large to build"
+
+
+def test_enumerate_below_p_makes_no_row():
+    # every k <= n < p has gcd(p**d, k!) = 1: only the zero polynomial, at
+    # once, where the rows' falling factorials took O(n**2) steps
+    p = 10 ** 22 + 9
+    start = time.perf_counter()
+    assert list(enumerate_null(p, 1, 10 ** 6)) == [Polynomial(())]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_repr_equality_hash_and_pickle_never_build_the_value():
@@ -463,9 +482,8 @@ def test_monic_count_matches_digit_block_formula(p, d, data):
     w1 = omega1_prime_power(p, d)
     n = data.draw(st.integers(min_value=w1, max_value=3 * w1))
     want = threshold_count_exponent(p, d)[0] + d * (n - w1)
-    assert null_count_exponent(n - 1, p, d) == want
-    if want <= counting._POWER_BITS / log2(p):  # count_monic refuses a larger p**E
-        assert count_monic(n, p, d).p_exponent == want
+    assert count_null_le(n - 1, p, d).p_exponent == want
+    assert count_monic(n, p, d).p_exponent == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,7 +492,7 @@ def test_valuation_sum_matches_digit_block_formula(p, d):
     # the paper's digit-block product is an independent route to the count
     # just below the least monic degree, at any size
     w1 = omega1_prime_power(p, d)
-    assert null_count_exponent(w1 - 1, p, d) == threshold_count_exponent(p, d)[0]
+    assert count_null_le(w1 - 1, p, d).p_exponent == threshold_count_exponent(p, d)[0]
 
 
 def _vp_factorial(p: int, k: int) -> int:
@@ -490,4 +508,4 @@ def _vp_factorial(p: int, k: int) -> int:
 def test_valuation_sum_matches_naive_loop(p, d, data):
     n = data.draw(st.integers(min_value=p, max_value=3 * omega1_prime_power(p, d)))
     naive = sum(min(d, _vp_factorial(p, k)) for k in range(n + 1))
-    assert null_count_exponent(n, p, d) == naive
+    assert count_null_le(n, p, d).p_exponent == naive

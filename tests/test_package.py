@@ -111,6 +111,7 @@ def test_intra_package_imports_are_layered():
     assert graph["modulus"] and graph["cli"]
     TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
     assert "modulus" not in graph["construct"]
+    assert "counting" not in graph["modulus"]
     assert "prime_factorization" not in names["construct"]
 
 
